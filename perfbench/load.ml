@@ -23,7 +23,7 @@ let workers = Domain.recommended_domain_count ()
 
 (* --- traffic ----------------------------------------------------------- *)
 
-type source = Builtin of string | Inline of string | Qasm
+type source = Builtin of string | Inline of string | Qasm of int
 
 type request = {
   id : int;
@@ -106,7 +106,9 @@ let request ~rng ~qasm ~params ~id ~due ~kind ~pick ~verify ~dump =
     | K_inline ->
       let text = inline_hamiltonian rng in
       (Inline text, false, [ ("hamiltonian", Json.Str text) ])
-    | K_qasm -> (Qasm, false, [ ("qasm", Json.Str qasm.(pick mod Array.length qasm)) ])
+    | K_qasm ->
+      let i = pick mod Array.length qasm in
+      (Qasm i, false, [ ("qasm", Json.Str qasm.(i)) ])
   in
   let fields = fields @ [ ("verify", Json.Bool verify); ("dump", Json.Bool dump) ] in
   {
@@ -134,21 +136,28 @@ let exact_shares rng count parts =
     parts;
   Batch.shuffled rng a
 
+(* The mix follows the daemon soak in test/test_serve.ml ([mixed_specs]),
+   which gives each of its specs an equal share.  Its 14 logical-target
+   specs are 11 builtin compiles, 1 template compile with binds, 1 inline
+   Hamiltonian and 1 QASM job, and 1 of the 14 sets [verify: true].  No
+   spec there sets [dump: true]; the dump share of 1/14 is an
+   assumption, the smallest share the soak gives any kind of request. *)
+let kind_shares =
+  [ (11.0 /. 14.0, K_builtin); (1.0 /. 14.0, K_template); (1.0 /. 14.0, K_inline);
+    (1.0 /. 14.0, K_qasm) ]
+
+let flag_share = 1.0 /. 14.0
+
 (* Poisson arrivals at [rate] over [seconds], conditioned on their count:
-   rate x seconds arrival times drawn uniformly over the phase.  The mix:
-   35% builtin, 15% template + binds, 30% unique inline, 20% QASM; apart
-   from kind, 10% carry [verify: true] and 10% [dump: true].  Count and
-   shares are exact, so the offered load is equal across seeds. *)
+   rate x seconds arrival times drawn uniformly over the phase.  Count
+   and shares are exact, so the offered load is equal across seeds. *)
 let schedule ~rng ~qasm ~params ~rate ~seconds ~first_id =
   let count = int_of_float (Float.round (rate *. seconds)) in
   let dues = Array.init count (fun _ -> Random.State.float rng seconds) in
   Array.sort Float.compare dues;
-  let kinds =
-    exact_shares rng count
-      [ (0.35, K_builtin); (0.15, K_template); (0.30, K_inline); (0.20, K_qasm) ]
-  in
-  let verify = exact_shares rng count [ (0.1, true); (0.9, false) ] in
-  let dump = exact_shares rng count [ (0.1, true); (0.9, false) ] in
+  let kinds = exact_shares rng count kind_shares in
+  let verify = exact_shares rng count [ (flag_share, true); (1.0 -. flag_share, false) ] in
+  let dump = exact_shares rng count [ (flag_share, true); (1.0 -. flag_share, false) ] in
   let seen = Hashtbl.create 4 in
   Array.mapi
     (fun i due ->
@@ -346,26 +355,40 @@ let serial_execute (r : request) =
   | Ok (Protocol.Compile { spec; _ }) -> Handler.execute spec
   | _ -> failwith "perfbench: generated an unparseable request"
 
-type quality = { mutable two_q : int; mutable depth_2q : int }
+type quality = { mutable two_q : int; mutable depth_2q : int; seen : (source, unit) Hashtbl.t }
+
+(* Quality totals over the builtin programs and QASM texts, one output
+   each: every run sends all of them whatever its seed, so the totals are
+   the same for every seed.  The unique inline Hamiltonians and the bound
+   templates are left out, because they change with the seed. *)
+let add_quality q (r : request) j =
+  match r.source with
+  | (Builtin _ | Qasm _) when (not r.template) && not (Hashtbl.mem q.seen r.source) -> (
+    let m = match Json.mem "report" j with Some rep -> Some rep | None -> Json.mem "metrics" j in
+    match m with
+    | Some m ->
+      Hashtbl.replace q.seen r.source ();
+      q.two_q <- q.two_q + int_of_float (Option.value (num_field "two_q" m) ~default:0.0);
+      q.depth_2q <- q.depth_2q + int_of_float (Option.value (num_field "depth_2q" m) ~default:0.0)
+    | None -> ())
+  | _ -> ()
+
+(* Digest-file entries: one per distinct spec, keyed by the spec's hash. *)
+let digest_entry (r : request) status ds =
+  ( Digest.to_hex (Digest.string r.spec_key),
+    Printf.sprintf "%d:%s" status (String.concat "," ds) )
 
 (* Serial reference: one [Handler.execute] per distinct spec.  Every
    status-0 response must carry the digests of its serial twin. *)
 let check_against_serial p (requests : request array) problem =
   let serial = Hashtbl.create 64 in
-  let q = { two_q = 0; depth_2q = 0 } in
+  let q = { two_q = 0; depth_2q = 0; seen = Hashtbl.create 16 } in
   Array.iter
     (fun r ->
       if not (Hashtbl.mem serial r.spec_key) then begin
         let o = serial_execute r in
         let j = Handler.response ~id:Json.Null o in
-        let m =
-          match Json.mem "report" j with Some rep -> Some rep | None -> Json.mem "metrics" j
-        in
-        (match m with
-        | Some m ->
-          q.two_q <- q.two_q + int_of_float (Option.value (num_field "two_q" m) ~default:0.0);
-          q.depth_2q <- q.depth_2q + int_of_float (Option.value (num_field "depth_2q" m) ~default:0.0)
-        | None -> ());
+        add_quality q r j;
         Hashtbl.replace serial r.spec_key (Protocol.status_code o.Handler.status, digests j)
       end;
       match Hashtbl.find_opt p.responses r.id with
@@ -375,7 +398,16 @@ let check_against_serial p (requests : request array) problem =
           problem (Printf.sprintf "request %d: daemon output differs from serial Handler.execute" r.id)
       | _ -> ())
     requests;
-  q
+  let entries =
+    Array.to_list requests
+    |> List.filter_map (fun r ->
+           match Hashtbl.find_opt serial r.spec_key with
+           | Some (status, ds) ->
+             Hashtbl.remove serial r.spec_key;
+             Some (digest_entry r status ds)
+           | None -> None)
+  in
+  (q, entries)
 
 (* --- the runs ---------------------------------------------------------- *)
 
@@ -415,39 +447,50 @@ let report_failures c =
    and a warm-up burst of one request per kind sent at once on every
    connection (counted as attempted ops). *)
 let setup ~phoenix ~seed ~phases c =
-  let rng = Random.State.make [| seed; 29 |] in
   let attempted = ref 0 and failed = ref 0 in
   let qasm = Array.of_list (qasm_pool ~attempted ~failed) in
   c.attempted <- c.attempted + !attempted;
   c.failed <- c.failed + !failed;
   let params = template_params () in
+  (* each phase draws from its own stream, so the [hi] traffic of a seed
+     is the same in the untraced and the traced run *)
+  let rng rate = Random.State.make [| seed; 29; int_of_float rate |] in
   let phases =
     List.mapi
       (fun k (rate, seconds) ->
-        schedule ~rng ~qasm ~params ~rate ~seconds ~first_id:((k + 1) * 1_000_000))
+        schedule ~rng:(rng rate) ~qasm ~params ~rate ~seconds
+          ~first_id:((k + 1) * 1_000_000))
       phases
   in
   let d = start_daemon phoenix in
   let warm =
-    schedule ~rng ~qasm ~params ~rate:16.0 ~seconds:1.0 ~first_id:0
+    schedule ~rng:(rng 0.0) ~qasm ~params ~rate:16.0 ~seconds:1.0 ~first_id:0
     |> Array.map (fun r -> { r with due = 0.0 })
   in
   let p = run_phase d warm ~scrape:false in
   (d, phases, warm, p)
 
-let untraced ~phoenix ~seed ~seconds ~process_start ~peak_rss_mb ~print =
-  let c = { attempted = 0; failed = 0; correct = true; by_status = Hashtbl.create 4 } in
-  let times = ref [] and last = ref None in
-  for k = 1 to 3 do
-    let t0 = if k = 1 then process_start else now () in
-    let (d, _, warm, wp) as s = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] c in
-    times := (now () -. t0) :: !times;
-    count_phase c wp warm;
-    (match !last with Some (d0, _, _, _) -> stop_daemon d0 | None -> ());
-    ignore d;
-    last := Some s
-  done;
-  let d, phases, _, _ = Option.get !last in
+let new_counts () = { attempted = 0; failed = 0; correct = true; by_status = Hashtbl.create 4 }
+
+(* One set-up in a fresh process: its time, read before the daemon is
+   stopped, and its attempted and failed ops. *)
+let setup_only ~phoenix ~seed ~seconds ~elapsed =
+  let c = new_counts () in
+  let d, _, warm, wp = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] c in
+  let s = elapsed () in
+  count_phase c wp warm;
+  report_failures c;
+  stop_daemon d;
+  (s, c.attempted, c.failed)
+
+let untraced ~phoenix ~seed ~seconds ~own_setup ~cold_setups ~digest_path ~peak_rss_mb ~print =
+  let c = new_counts () in
+  let d, phases, warm, wp = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] c in
+  let own = own_setup () in
+  count_phase c wp warm;
+  let setup_s, attempted, failed = cold_setups ~own in
+  c.attempted <- c.attempted + attempted;
+  c.failed <- c.failed + failed;
   let requests = List.hd phases in
   let p = run_phase d requests ~scrape:false in
   let rss = peak_rss_mb (string_of_int d.pid) in
@@ -458,7 +501,8 @@ let untraced ~phoenix ~seed ~seconds ~process_start ~peak_rss_mb ~print =
     c.correct <- false;
     prerr_endline ("perfbench: " ^ msg)
   in
-  let q = check_against_serial p requests problem in
+  let q, entries = check_against_serial p requests problem in
+  Batch.check_digest_file ~path:digest_path ~problem entries;
   let ok = ref [] and good = ref 0 in
   Array.iter
     (fun r ->
@@ -471,7 +515,7 @@ let untraced ~phoenix ~seed ~seconds ~process_start ~peak_rss_mb ~print =
   let last = Hashtbl.fold (fun _ r t -> Float.max t r.recv_at) p.responses p.start in
   let v = Hashtbl.create 16 in
   let set k x = Hashtbl.replace v k x in
-  set "setup_s" (Stats.median !times);
+  set "setup_s" setup_s;
   set "op_ms.p50" (Stats.median !ok);
   set "op_ms.p90" (Stats.percentile 90.0 !ok);
   set "ops_per_s" (float_of_int !good /. (last -. p.start));
@@ -483,8 +527,8 @@ let untraced ~phoenix ~seed ~seconds ~process_start ~peak_rss_mb ~print =
     seed (Array.length requests) rate_hi !good limit_ms;
   print ~correct:c.correct ~attempted:c.attempted ~failed:c.failed v
 
-let traced ~phoenix ~seed ~seconds ~layers ~print =
-  let c = { attempted = 0; failed = 0; correct = true; by_status = Hashtbl.create 4 } in
+let traced ~phoenix ~seed ~seconds ~layers ~digest_path ~print =
+  let c = new_counts () in
   let d, phases, warm, wp =
     setup ~phoenix ~seed ~phases:[ (rate_lo, seconds /. 2.0); (rate_hi, seconds) ] c
   in
@@ -525,6 +569,7 @@ let traced ~phoenix ~seed ~seconds ~layers ~print =
      concurrent = serial check on its digests. *)
   Phoenix_cache.Cache.clear_memory ();
   let exec = ref [] and wait = ref [] and parse = ref [] and print_us = ref [] and kb = ref [] in
+  let entries = Hashtbl.create 64 in
   Array.iter
     (fun r ->
       let t0 = now () in
@@ -539,6 +584,9 @@ let traced ~phoenix ~seed ~seconds ~layers ~print =
       let t2 = now () in
       let text = Json.to_string (Handler.response ~id:(Json.Num (float_of_int r.id)) o) in
       let t3 = now () in
+      let serial = digests (Handler.response ~id:Json.Null o) in
+      let key, value = digest_entry r (Protocol.status_code o.Handler.status) serial in
+      Hashtbl.replace entries key value;
       parse := ((t1 -. t0) *. 1e6) :: !parse;
       exec := ((t2 -. t1) *. 1000.0) :: !exec;
       print_us := ((t3 -. t2) *. 1e6) :: !print_us;
@@ -546,13 +594,13 @@ let traced ~phoenix ~seed ~seconds ~layers ~print =
       match latency_ms hi r with
       | Some (ms, { status = 0; json; _ }) ->
         wait := (ms -. ((t2 -. t1) *. 1000.0)) :: !wait;
-        if o.Handler.status <> Protocol.Sok
-           || digests json <> digests (Handler.response ~id:Json.Null o)
-        then
+        if o.Handler.status <> Protocol.Sok || digests json <> serial then
           problem
             (Printf.sprintf "request %d: daemon output differs from serial Handler.execute" r.id)
       | _ -> ())
     hi_requests;
+  Batch.check_digest_file ~path:digest_path ~problem
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) entries []);
   set "serve.exec_ms.p50" (Stats.median !exec);
   set "serve.exec_ms.p95" (Stats.percentile 95.0 !exec);
   set "serve.wait_ms.p50" (Stats.median !wait);
@@ -593,7 +641,7 @@ let traced ~phoenix ~seed ~seconds ~layers ~print =
       let key = (r.source, r.verify) in
       let wanted =
         (not r.template) && (not (Hashtbl.mem stepped key))
-        && match r.source with Builtin _ -> true | Inline _ -> !inline_left > 0 | Qasm -> false
+        && match r.source with Builtin _ -> true | Inline _ -> !inline_left > 0 | Qasm _ -> false
       in
       if wanted then begin
         Hashtbl.replace stepped key ();
@@ -602,7 +650,7 @@ let traced ~phoenix ~seed ~seconds ~layers ~print =
           match r.source with
           | Builtin s -> Phoenix_serve.Workload.of_spec s
           | Inline text -> Phoenix_serve.Workload.of_inline text
-          | Qasm -> assert false
+          | Qasm _ -> assert false
         in
         let options = { C.default_options with C.verify = r.verify; C.domains = 1 } in
         let w = { Batch.options; topology = None; inputs = [||] } in

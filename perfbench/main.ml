@@ -91,7 +91,29 @@ let peak_rss_mb pid =
     close_in ic;
     v
 
+(* The host's steal time as a share of all CPU time since boot, from
+   the first line of /proc/stat.  On a virtual machine a rise during a
+   run means other guests took the CPUs: timings of that run are slow
+   for a reason outside the program. *)
+let cpu_times () =
+  match In_channel.with_open_text "/proc/stat" In_channel.input_line with
+  | Some line -> (
+    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+    | "cpu" :: fields ->
+      let v = List.map float_of_string fields in
+      let steal = match List.nth_opt v 7 with Some x -> x | None -> 0.0 in
+      Some (steal, List.fold_left ( +. ) 0.0 v)
+    | _ -> None)
+  | None | (exception Sys_error _) -> None
+
+let start_cpu = cpu_times ()
+
 let print_result ~correct ~attempted ~failed units values =
+  (match (start_cpu, cpu_times ()) with
+  | Some (s0, t0), Some (s1, t1) when t1 > t0 ->
+    Printf.eprintf "perfbench: host steal %.1f%% of CPU time during the run\n"
+      (100.0 *. (s1 -. s0) /. (t1 -. t0))
+  | _ -> ());
   let value name =
     match Hashtbl.find_opt values name with
     | Some v -> v
@@ -110,32 +132,76 @@ let print_result ~correct ~attempted ~failed units values =
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
     correct attempted failed (String.concat ", " metrics)
 
+(* --- set-up in fresh processes ---------------------------------------- *)
+
+(* [setup_s] is the cold path: process start until the first timed op
+   can be issued.  The run's own set-up is one sample; [fresh_setups]
+   more come from fresh copies of this executable run with
+   [--setup-only], which set up, print one line
+   ["setup <seconds> <attempted> <failed>"] and exit.  Their warm-up ops
+   count toward the run's attempted and failed ops. *)
+let fresh_setups = 2
+
+let setup_line ~seconds ~attempted ~failed =
+  Printf.printf "setup %.9f %d %d\n%!" seconds attempted failed
+
+let fresh_setup args =
+  let exe = Sys.executable_name in
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin wr Unix.stderr in
+  Unix.close wr;
+  let ic = Unix.in_channel_of_descr rd in
+  let out = In_channel.input_all ic in
+  close_in ic;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> (
+    let last = List.rev (List.filter (( <> ) "") (String.split_on_char '\n' out)) in
+    match last with
+    | l :: _ -> Scanf.sscanf l "setup %f %d %d" (fun s a f -> (s, a, f))
+    | [] -> failwith "perfbench: a set-up process printed nothing")
+  | _ -> failwith "perfbench: a set-up process failed"
+
+(* The run's own set-up time, then [fresh_setups] more from fresh
+   processes: the median, and the fresh processes' op counts. *)
+let cold_setups ~own args =
+  let samples = List.init fresh_setups (fun _ -> fresh_setup ("--setup-only" :: args)) in
+  let times = own :: List.map (fun (s, _, _) -> s) samples in
+  let attempted = List.fold_left (fun a (_, n, _) -> a + n) 0 samples in
+  let failed = List.fold_left (fun a (_, _, n) -> a + n) 0 samples in
+  (Stats.median times, attempted, failed)
+
+(* Output digests are compared only between runs of the same build. *)
+let build_id phoenix =
+  let files = Sys.executable_name :: (if phoenix = "" then [] else [ phoenix ]) in
+  String.sub (Digest.to_hex (Digest.string (String.concat "" (List.map Digest.file files)))) 0 12
+
+let digest_path ~phoenix name seed =
+  Filename.concat out_dir (Printf.sprintf "digests-%s-%d-%s.txt" name seed (build_id phoenix))
+
 (* --- batch workloads --------------------------------------------------- *)
 
-let setups = 5
+(* Build the inputs and compile the smallest one as warm-up (an
+   attempted op). *)
+let batch_setup name seed t =
+  let w = Batch.make name seed in
+  ignore (Batch.record t w.Batch.inputs.(0) (Batch.compile w w.Batch.inputs.(0)));
+  w
 
-let batch_untraced name ~seed ~seconds =
+let batch_untraced name ~seed ~seconds ~phoenix ~args =
   let t = Batch.tally () in
-  (* Set up several times and report the median: the first set-up runs
-     from process start; each builds the inputs and compiles the
-     smallest one as warm-up (counted as an attempted op). *)
-  let times = ref [] and w = ref None in
-  for k = 1 to setups do
-    let t0 = if k = 1 then process_start else now () in
-    let wl = Batch.make name seed in
-    ignore (Batch.record t wl.Batch.inputs.(0) (Batch.compile wl wl.Batch.inputs.(0)));
-    times := (now () -. t0) :: !times;
-    w := Some wl
-  done;
-  let w = Option.get !w in
+  let w = batch_setup name seed t in
+  let setup_s, attempted, failed = cold_setups ~own:(now () -. process_start) args in
+  t.Batch.attempted <- t.Batch.attempted + attempted;
+  t.Batch.failed <- t.Batch.failed + failed;
   let m = Batch.measure w ~seed ~seconds t in
-  Batch.check_digest_file t
-    ~path:(Filename.concat out_dir (Printf.sprintf "digests-%s-%d.txt" name seed));
+  let two_q, depth, _ = Batch.quality_totals name t in
+  Batch.check_digest_file ~path:(digest_path ~phoenix name seed)
+    ~problem:(fun msg -> Batch.problem t "%s" msg)
+    (Batch.digest_pairs t);
   Batch.report_failures t;
-  let two_q, depth, _ = Batch.totals t in
   let v = Hashtbl.create 16 in
   let set k x = Hashtbl.replace v k x in
-  set "setup_s" (Stats.median !times);
+  set "setup_s" setup_s;
   set "op_ms.p50" (Stats.median m.Batch.op_ms);
   set "op_ms.p90" (Stats.percentile 90.0 m.Batch.op_ms);
   set "ops_per_s" (float_of_int (List.length m.Batch.op_ms) /. m.Batch.phase_s);
@@ -153,16 +219,16 @@ let zero_layers () =
   List.iter (fun (k, _) -> Hashtbl.replace v k 0.0) per_layer_units;
   v
 
-let batch_traced name ~seed =
+let batch_traced name ~seed ~phoenix =
   Spans.enabled := true;
   let t = Batch.tally () in
-  let w = Batch.make name seed in
-  ignore (Batch.record t w.Batch.inputs.(0) (Batch.compile w w.Batch.inputs.(0)));
+  let w = batch_setup name seed t in
   let l = Batch.layers () in
   let rng = Random.State.make [| seed; 17 |] in
   Array.iteri (fun op inp -> Batch.traced_op ~op w t l inp) (Batch.shuffled rng w.Batch.inputs);
-  Batch.check_digest_file t
-    ~path:(Filename.concat out_dir (Printf.sprintf "digests-%s-%d.txt" name seed));
+  Batch.check_digest_file ~path:(digest_path ~phoenix name seed)
+    ~problem:(fun msg -> Batch.problem t "%s" msg)
+    (Batch.digest_pairs t);
   Batch.report_failures t;
   Spans.write (Filename.concat out_dir (Printf.sprintf "trace-%s-%d.jsonl" name seed));
   let v = zero_layers () in
@@ -174,7 +240,7 @@ let batch_traced name ~seed =
 
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10.0 and trace = ref 0 in
-  let phoenix = ref "" in
+  let phoenix = ref "" and setup_only = ref false in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, "NAME hw-uccsd | qaoa-logical | serve-mixed");
@@ -182,24 +248,47 @@ let () =
       ("--seconds", Arg.Set_float seconds, "S length of the timed phase");
       ("--trace", Arg.Set_int trace, "0|1 end-to-end run, or traced per-layer run");
       ("--phoenix", Arg.Set_string phoenix, "EXE the phoenix CLI (serve-mixed)");
+      ("--setup-only", Arg.Set setup_only, " set up once, print the set-up time, exit");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "main.exe --workload NAME --seed N --seconds S --trace 0|1";
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
-  match (!workload, !trace) with
-  | ("hw-uccsd" | "qaoa-logical"), 0 -> batch_untraced !workload ~seed:!seed ~seconds:!seconds
-  | ("hw-uccsd" | "qaoa-logical"), 1 -> batch_traced !workload ~seed:!seed
-  | "serve-mixed", 0 ->
-    Load.untraced ~phoenix:!phoenix ~seed:!seed ~seconds:!seconds ~process_start
+  (* what a fresh set-up process needs to set up the same run *)
+  let args =
+    [ "--workload"; !workload; "--seed"; string_of_int !seed; "--seconds";
+      Printf.sprintf "%g" !seconds; "--phoenix"; !phoenix ]
+  in
+  let phoenix = !phoenix and seed = !seed and seconds = !seconds in
+  match (!workload, !trace, !setup_only) with
+  | ("hw-uccsd" | "qaoa-logical"), _, true ->
+    let t = Batch.tally () in
+    ignore (batch_setup !workload seed t);
+    Batch.report_failures t;
+    setup_line ~seconds:(now () -. process_start) ~attempted:t.Batch.attempted
+      ~failed:t.Batch.failed
+  | "serve-mixed", _, true ->
+    let s, attempted, failed =
+      Load.setup_only ~phoenix ~seed ~seconds ~elapsed:(fun () -> now () -. process_start)
+    in
+    setup_line ~seconds:s ~attempted ~failed
+  | ("hw-uccsd" | "qaoa-logical"), 0, false ->
+    batch_untraced !workload ~seed ~seconds ~phoenix ~args
+  | ("hw-uccsd" | "qaoa-logical"), 1, false -> batch_traced !workload ~seed ~phoenix
+  | "serve-mixed", 0, false ->
+    Load.untraced ~phoenix ~seed ~seconds
+      ~own_setup:(fun () -> now () -. process_start)
+      ~cold_setups:(cold_setups args)
+      ~digest_path:(digest_path ~phoenix "serve-mixed" seed)
       ~peak_rss_mb
       ~print:(fun ~correct ~attempted ~failed v ->
         print_result ~correct ~attempted ~failed end_to_end_units v)
-  | "serve-mixed", 1 ->
+  | "serve-mixed", 1, false ->
     Spans.enabled := true;
-    Load.traced ~phoenix:!phoenix ~seed:!seed ~seconds:!seconds ~layers:(zero_layers ())
+    Load.traced ~phoenix ~seed ~seconds ~layers:(zero_layers ())
+      ~digest_path:(digest_path ~phoenix "serve-mixed" seed)
       ~print:(fun ~correct ~attempted ~failed v ->
-        Spans.write (Filename.concat out_dir (Printf.sprintf "trace-serve-mixed-%d.jsonl" !seed));
+        Spans.write (Filename.concat out_dir (Printf.sprintf "trace-serve-mixed-%d.jsonl" seed));
         print_result ~correct ~attempted ~failed per_layer_units v)
-  | w, k ->
+  | w, k, _ ->
     Printf.eprintf "perfbench: unknown workload %S or trace %d\n" w k;
     exit 2
