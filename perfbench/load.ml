@@ -54,16 +54,17 @@ let inline_hamiltonian rng =
   String.concat "\n" (List.init 60 (fun _ -> term ()))
 
 (* QASM jobs replay circuits this process compiles at set-up, with
-   default options.  Each compile is an attempted op; a failed one is
-   counted and tried again. *)
-let qasm_pool ~attempted ~failed =
+   default options.  The first of these compiles is the process's first,
+   the one the known first-use race can strike: like the batch warm-up
+   it is not an op of the run, and a loss is counted in [lost] and tried
+   again. *)
+let qasm_pool ~lost =
   let entry = Option.get (R.find "phoenix") in
   let rec compile h tries =
-    incr attempted;
     match R.compile ~protect:true entry h with
     | r -> r.C.circuit
     | exception e ->
-      incr failed;
+      incr lost;
       Printf.eprintf "perfbench: set-up compile failed: %s\n%!" (Printexc.to_string e);
       if tries > 1 then compile h (tries - 1) else raise e
   in
@@ -250,7 +251,9 @@ let status_of j = Option.value (Option.map int_of_float (num_field "status" j)) 
 (* Send every request at its due time over [workers] connections; a
    receiver thread per connection matches responses by id.  With
    [scrape], a [stats] request rides on connection 0 every 200 ms to
-   sample the daemon's queue depth. *)
+   sample the daemon's queue depth.  While no request is in flight and
+   the next is at least 20 ms away, the host-speed reference runs within
+   its time share. *)
 let run_phase d (requests : request array) ~scrape =
   let conns = Array.init workers (fun _ -> Serve.Client.connect d.addr) in
   let n = Array.length requests in
@@ -312,9 +315,18 @@ let run_phase d (requests : request array) ~scrape =
           next_scrape := !next_scrape +. 0.2;
           wait ()
         end
+        else if
+          due -. t > 0.02
+          && Mutex.protect m (fun () -> Hashtbl.length p.responses >= i)
+          && !Calib.spent < 0.05 *. (t -. p.start)
+        then begin
+          Calib.sample ();
+          wait ()
+        end
         else if t < due then begin
           let until = if scrape then Float.min due !next_scrape else due in
-          Unix.sleepf (Float.max 0.0 (until -. t));
+          (* wake every 5 ms to see whether the daemon has gone idle *)
+          Unix.sleepf (Float.max 0.0 (Float.min 0.005 (until -. t)));
           wait ()
         end
       in
@@ -378,36 +390,44 @@ let digest_entry (r : request) status ds =
   ( Digest.to_hex (Digest.string r.spec_key),
     Printf.sprintf "%d:%s" status (String.concat "," ds) )
 
-(* Serial reference: one [Handler.execute] per distinct spec.  Every
-   status-0 response must carry the digests of its serial twin. *)
+(* Serial reference: every request once more through [Handler.execute],
+   in schedule order, on a cache cleared first, as the daemon's shared
+   cache met them.  Every status-0 response must carry the digests of its
+   serial twin.  The replay runs [replays] times, each on a cleared cache.
+   The host-speed reference runs before every fourth request, so the
+   replay has speed factors of its own.  Returns the quality totals, the
+   digest-file entries, and each request's [replays] start times and CPU
+   times in ms. *)
+let replays = 3
+
 let check_against_serial p (requests : request array) problem =
-  let serial = Hashtbl.create 64 in
   let q = { two_q = 0; depth_2q = 0; seen = Hashtbl.create 16 } in
-  Array.iter
-    (fun r ->
-      if not (Hashtbl.mem serial r.spec_key) then begin
+  let entries = Hashtbl.create 64 in
+  let cpu_ms = Array.make_matrix (Array.length requests) replays (0.0, 0.0) in
+  for k = 0 to replays - 1 do
+    Phoenix_cache.Cache.clear_memory ();
+    Array.iteri
+      (fun i r ->
+        if i mod 4 = 0 then Calib.sample ();
+        let start = now () and c0 = Calib.cpu () in
         let o = serial_execute r in
-        let j = Handler.response ~id:Json.Null o in
-        add_quality q r j;
-        Hashtbl.replace serial r.spec_key (Protocol.status_code o.Handler.status, digests j)
-      end;
-      match Hashtbl.find_opt p.responses r.id with
-      | Some resp when resp.status = 0 ->
-        let status, expect = Hashtbl.find serial r.spec_key in
-        if status <> 0 || digests resp.json <> expect then
-          problem (Printf.sprintf "request %d: daemon output differs from serial Handler.execute" r.id)
-      | _ -> ())
-    requests;
-  let entries =
-    Array.to_list requests
-    |> List.filter_map (fun r ->
-           match Hashtbl.find_opt serial r.spec_key with
-           | Some (status, ds) ->
-             Hashtbl.remove serial r.spec_key;
-             Some (digest_entry r status ds)
-           | None -> None)
-  in
-  (q, entries)
+        cpu_ms.(i).(k) <- (start, (Calib.cpu () -. c0) *. 1000.0);
+        if k = 0 then begin
+          let j = Handler.response ~id:Json.Null o in
+          let serial = digests j in
+          add_quality q r j;
+          let key, value = digest_entry r (Protocol.status_code o.Handler.status) serial in
+          Hashtbl.replace entries key value;
+          match Hashtbl.find_opt p.responses r.id with
+          | Some resp when resp.status = 0 ->
+            if o.Handler.status <> Protocol.Sok || digests resp.json <> serial then
+              problem
+                (Printf.sprintf "request %d: daemon output differs from serial Handler.execute" r.id)
+          | _ -> ()
+        end)
+      requests
+  done;
+  (q, Hashtbl.fold (fun k v acc -> (k, v) :: acc) entries [], cpu_ms)
 
 (* --- the runs ---------------------------------------------------------- *)
 
@@ -443,14 +463,16 @@ let report_failures c =
     (fun name k -> Printf.eprintf "perfbench: %d request(s) answered %s\n" k name)
     c.by_status
 
-(* Set-up: the traffic, the QASM it replays, a daemon answering pings,
-   and a warm-up burst of one request per kind sent at once on every
-   connection (counted as attempted ops). *)
-let setup ~phoenix ~seed ~phases c =
-  let attempted = ref 0 and failed = ref 0 in
-  let qasm = Array.of_list (qasm_pool ~attempted ~failed) in
-  c.attempted <- c.attempted + !attempted;
-  c.failed <- c.failed + !failed;
+(* Set-up: the reference samples, the traffic, the QASM it replays, a
+   daemon answering pings, and a warm-up burst of one request per kind
+   sent at once on every connection.  The burst carries the daemon's
+   first compiles, which the known first-use race can strike, so like the
+   batch warm-up it is not an op of the run: a failed answer is named and
+   counted in [lost]. *)
+let setup ~phoenix ~seed ~phases =
+  Calib.warm_up ();
+  let lost = ref 0 in
+  let qasm = Array.of_list (qasm_pool ~lost) in
   let params = template_params () in
   (* each phase draws from its own stream, so the [hi] traffic of a seed
      is the same in the untraced and the traced run *)
@@ -468,31 +490,50 @@ let setup ~phoenix ~seed ~phases c =
     |> Array.map (fun r -> { r with due = 0.0 })
   in
   let p = run_phase d warm ~scrape:false in
-  (d, phases, warm, p)
+  Array.iter
+    (fun r ->
+      match Hashtbl.find_opt p.responses r.id with
+      | Some { status = 0; _ } -> ()
+      | Some { json; status; _ } ->
+        incr lost;
+        Printf.eprintf "perfbench: warm-up request answered %s\n%!"
+          (Option.value (Option.bind (Json.mem "message" json) Json.str)
+             ~default:(string_of_int status))
+      | None -> incr lost)
+    warm;
+  (d, phases, !lost)
+
+(* The set-up's CPU seconds, this process's and the daemon's, scaled. *)
+let setup_cpu d = Calib.scale (Calib.cpu () +. Calib.cpu_of_pid d.pid)
 
 let new_counts () = { attempted = 0; failed = 0; correct = true; by_status = Hashtbl.create 4 }
 
-(* One set-up in a fresh process: its time, read before the daemon is
-   stopped, and its attempted and failed ops. *)
-let setup_only ~phoenix ~seed ~seconds ~elapsed =
-  let c = new_counts () in
-  let d, _, warm, wp = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] c in
-  let s = elapsed () in
-  count_phase c wp warm;
-  report_failures c;
+(* One set-up in a fresh process: its CPU time, read before the daemon
+   is stopped, and its warm-up losses. *)
+let setup_only ~phoenix ~seed ~seconds =
+  let d, _, lost = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] in
+  let s = setup_cpu d in
   stop_daemon d;
-  (s, c.attempted, c.failed)
+  (s, lost)
 
-let untraced ~phoenix ~seed ~seconds ~own_setup ~cold_setups ~digest_path ~peak_rss_mb ~print =
+(* Latencies of the status-0 responses of a phase, and how many of them
+   came within [limit_ms]. *)
+let latencies p requests =
+  Array.fold_left
+    (fun (ms, good) r ->
+      match latency_ms p r with
+      | Some (x, { status = 0; _ }) -> (x :: ms, if x <= limit_ms then good + 1 else good)
+      | _ -> (ms, good))
+    ([], 0) requests
+
+let untraced ~phoenix ~seed ~seconds ~cold_setups ~digest_path ~peak_rss_mb ~print =
   let c = new_counts () in
-  let d, phases, warm, wp = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] c in
-  let own = own_setup () in
-  count_phase c wp warm;
-  let setup_s, attempted, failed = cold_setups ~own in
-  c.attempted <- c.attempted + attempted;
-  c.failed <- c.failed + failed;
+  let d, phases, lost = setup ~phoenix ~seed ~phases:[ (rate_hi, seconds) ] in
+  let setup_s, fresh_lost = cold_setups ~own:(setup_cpu d) in
   let requests = List.hd phases in
+  let cpu0 = Calib.cpu_of_pid d.pid in
   let p = run_phase d requests ~scrape:false in
+  let daemon_cpu = Calib.cpu_of_pid d.pid -. cpu0 in
   let rss = peak_rss_mb (string_of_int d.pid) in
   stop_daemon d;
   count_phase c p requests;
@@ -501,38 +542,45 @@ let untraced ~phoenix ~seed ~seconds ~own_setup ~cold_setups ~digest_path ~peak_
     c.correct <- false;
     prerr_endline ("perfbench: " ^ msg)
   in
-  let q, entries = check_against_serial p requests problem in
+  let phase_speed = Calib.speed () in
+  Calib.report ();
+  Calib.restart ();
+  let q, entries, timed = check_against_serial p requests problem in
   Batch.check_digest_file ~path:digest_path ~problem entries;
-  let ok = ref [] and good = ref 0 in
-  Array.iter
-    (fun r ->
-      match latency_ms p r with
-      | Some (ms, { status = 0; _ }) ->
-        ok := ms :: !ok;
-        if ms <= limit_ms then incr good
-      | _ -> ())
-    requests;
-  let last = Hashtbl.fold (fun _ r t -> Float.max t r.recv_at) p.responses p.start in
+  (* a request's CPU time: the median of its replays, each scaled *)
+  let at = Calib.local () in
+  let serial_cpu =
+    Array.to_list timed
+    |> List.map (fun reps ->
+           Stats.median (Array.to_list (Array.map (fun (t, x) -> x *. at t) reps)))
+  in
+  let ok, good = latencies p requests in
+  let n = float_of_int (Array.length requests) in
   let v = Hashtbl.create 16 in
   let set k x = Hashtbl.replace v k x in
   set "setup_s" setup_s;
-  set "op_ms.p50" (Stats.median !ok);
-  set "op_ms.p90" (Stats.percentile 90.0 !ok);
-  set "ops_per_s" (float_of_int !good /. (last -. p.start));
+  set "cpu_ms.p50" (Stats.median serial_cpu);
+  set "cpu_ms.p90" (Stats.percentile 90.0 serial_cpu);
+  set "cpu_ms_per_op" (daemon_cpu *. 1000.0 /. n *. phase_speed);
   set "ok_ratio" (1.0 -. (float_of_int c.failed /. float_of_int c.attempted));
   set "peak_rss_mb" rss;
   set "two_q_total" (float_of_int q.two_q);
   set "depth_2q_total" (float_of_int q.depth_2q);
-  Printf.eprintf "perfbench: serve-mixed seed %d: %d requests at %.0f/s, %d within %.0f ms\n"
-    seed (Array.length requests) rate_hi !good limit_ms;
+  Printf.eprintf
+    "perfbench: serve-mixed seed %d: %d requests at %.0f/s, %d within %.0f ms; raw latency p50 \
+     %.2f ms p90 %.2f ms; daemon CPU %.3f s\n"
+    seed (Array.length requests) rate_hi good limit_ms (Stats.median ok)
+    (Stats.percentile 90.0 ok) daemon_cpu;
+  Batch.report_lost (lost + fresh_lost);
+  Calib.report ();
   print ~correct:c.correct ~attempted:c.attempted ~failed:c.failed v
 
-let traced ~phoenix ~seed ~seconds ~layers ~digest_path ~print =
+let traced ~phoenix ~seed ~seconds ~layers ~probe ~digest_path ~print =
   let c = new_counts () in
-  let d, phases, warm, wp =
-    setup ~phoenix ~seed ~phases:[ (rate_lo, seconds /. 2.0); (rate_hi, seconds) ] c
+  let d, phases, lost =
+    setup ~phoenix ~seed ~phases:[ (rate_lo, seconds /. 2.0); (rate_hi, seconds) ]
   in
-  count_phase c wp warm;
+  let lost = lost + probe () in
   let lo_requests, hi_requests =
     match phases with [ a; b ] -> (a, b) | _ -> assert false
   in
@@ -554,6 +602,15 @@ let traced ~phoenix ~seed ~seconds ~layers ~digest_path ~print =
   in
   set "serve.lo.op_ms.p50" (Stats.median lo_ms);
   set "serve.lo.op_ms.p95" (Stats.percentile 95.0 lo_ms);
+  let hi_ms, good = latencies hi hi_requests in
+  let last = Hashtbl.fold (fun _ r t -> Float.max t r.recv_at) hi.responses hi.start in
+  set "serve.hi.op_ms.p50" (Stats.median hi_ms);
+  set "serve.hi.op_ms.p90" (Stats.percentile 90.0 hi_ms);
+  set "serve.goodput_per_s" (float_of_int good /. (last -. hi.start));
+  set "wall.op_ms.p50" (Stats.median hi_ms);
+  set "host.speed" (Calib.speed ());
+  set "defect.warmup_lost" (float_of_int lost);
+  Batch.report_lost lost;
   set "serve.queue_depth.max" (float_of_int hi.queue_depth_max);
   let refused =
     Option.bind hi.last_stats (Json.mem "responses_by_status")

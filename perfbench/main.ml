@@ -7,8 +7,6 @@
    {correct, attempted, failed, metrics}.  A human-readable table goes to
    stderr. *)
 
-let process_start = Spans.now ()
-let now = Spans.now
 let out_dir = Filename.concat "perfbench" "out"
 
 (* Every per-layer metric with its unit, in print order.  A layer a
@@ -57,6 +55,12 @@ let per_layer_units =
       ("codec.parse_us.p50", "us");
       ("codec.print_us.p50", "us");
       ("codec.response_kb.p50", "KiB");
+      ("serve.hi.op_ms.p50", "ms");
+      ("serve.hi.op_ms.p90", "ms");
+      ("serve.goodput_per_s", "1/s");
+      ("wall.op_ms.p50", "ms");
+      ("host.speed", "ratio");
+      ("defect.warmup_lost", "count");
       ("loadgen.lag_ms.p99", "ms");
       ("trace.overhead", "ratio");
     ]
@@ -64,9 +68,9 @@ let per_layer_units =
 let end_to_end_units =
   [
     ("setup_s", "s");
-    ("op_ms.p50", "ms");
-    ("op_ms.p90", "ms");
-    ("ops_per_s", "1/s");
+    ("cpu_ms.p50", "ms");
+    ("cpu_ms.p90", "ms");
+    ("cpu_ms_per_op", "ms");
     ("ok_ratio", "ratio");
     ("peak_rss_mb", "MB");
     ("two_q_total", "count");
@@ -134,16 +138,17 @@ let print_result ~correct ~attempted ~failed units values =
 
 (* --- set-up in fresh processes ---------------------------------------- *)
 
-(* [setup_s] is the cold path: process start until the first timed op
-   can be issued.  The run's own set-up is one sample; [fresh_setups]
-   more come from fresh copies of this executable run with
-   [--setup-only], which set up, print one line
-   ["setup <seconds> <attempted> <failed>"] and exit.  Their warm-up ops
-   count toward the run's attempted and failed ops. *)
-let fresh_setups = 2
+(* [setup_s] is the cold path: the CPU seconds from process start until
+   the first timed op can be issued, a daemon's included, scaled to the
+   nominal host speed (see calib.ml).  The run's own set-up is one
+   sample; [fresh_setups] more come from fresh copies of this executable
+   run with [--setup-only], which set up, print one line
+   ["setup <seconds> <lost>"] and exit.  [lost] counts the warm-up
+   compiles that lost the known first-use race; the run reports the sum
+   over all its processes. *)
+let fresh_setups = 4
 
-let setup_line ~seconds ~attempted ~failed =
-  Printf.printf "setup %.9f %d %d\n%!" seconds attempted failed
+let setup_line ~seconds ~lost = Printf.printf "setup %.9f %d\n%!" seconds lost
 
 let fresh_setup args =
   let exe = Sys.executable_name in
@@ -157,18 +162,16 @@ let fresh_setup args =
   | _, Unix.WEXITED 0 -> (
     let last = List.rev (List.filter (( <> ) "") (String.split_on_char '\n' out)) in
     match last with
-    | l :: _ -> Scanf.sscanf l "setup %f %d %d" (fun s a f -> (s, a, f))
+    | l :: _ -> Scanf.sscanf l "setup %f %d" (fun s lost -> (s, lost))
     | [] -> failwith "perfbench: a set-up process printed nothing")
   | _ -> failwith "perfbench: a set-up process failed"
 
-(* The run's own set-up time, then [fresh_setups] more from fresh
-   processes: the median, and the fresh processes' op counts. *)
-let cold_setups ~own args =
-  let samples = List.init fresh_setups (fun _ -> fresh_setup ("--setup-only" :: args)) in
-  let times = own :: List.map (fun (s, _, _) -> s) samples in
-  let attempted = List.fold_left (fun a (_, n, _) -> a + n) 0 samples in
-  let failed = List.fold_left (fun a (_, _, n) -> a + n) 0 samples in
-  (Stats.median times, attempted, failed)
+(* The run's own set-up time, then [count] more from fresh processes:
+   the median, and the warm-up losses of the fresh processes. *)
+let cold_setups ?(count = fresh_setups) ~own args =
+  let samples = List.init count (fun _ -> fresh_setup ("--setup-only" :: args)) in
+  let times = own :: List.map fst samples in
+  (Stats.median times, List.fold_left (fun a (_, n) -> a + n) 0 samples)
 
 (* Output digests are compared only between runs of the same build. *)
 let build_id phoenix =
@@ -180,19 +183,23 @@ let digest_path ~phoenix name seed =
 
 (* --- batch workloads --------------------------------------------------- *)
 
-(* Build the inputs and compile the smallest one as warm-up (an
-   attempted op). *)
-let batch_setup name seed t =
+(* Fresh processes the traced run starts to show the first-use race. *)
+let probe_processes = 4
+
+(* Build the inputs, time the reference, and make the warm-up compile.
+   Returns the workload and the warm-up compiles lost to the race. *)
+let batch_setup name seed =
   let w = Batch.make name seed in
-  ignore (Batch.record t w.Batch.inputs.(0) (Batch.compile w w.Batch.inputs.(0)));
-  w
+  Calib.warm_up ();
+  let lost = Batch.warm_up w w.Batch.inputs.(0) in
+  (w, lost)
+
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (max 1 (List.length xs))
 
 let batch_untraced name ~seed ~seconds ~phoenix ~args =
   let t = Batch.tally () in
-  let w = batch_setup name seed t in
-  let setup_s, attempted, failed = cold_setups ~own:(now () -. process_start) args in
-  t.Batch.attempted <- t.Batch.attempted + attempted;
-  t.Batch.failed <- t.Batch.failed + failed;
+  let w, lost = batch_setup name seed in
+  let setup_s, fresh_lost = cold_setups ~own:(Calib.scale (Calib.cpu ())) args in
   let m = Batch.measure w ~seed ~seconds t in
   let two_q, depth, _ = Batch.quality_totals name t in
   Batch.check_digest_file ~path:(digest_path ~phoenix name seed)
@@ -202,15 +209,20 @@ let batch_untraced name ~seed ~seconds ~phoenix ~args =
   let v = Hashtbl.create 16 in
   let set k x = Hashtbl.replace v k x in
   set "setup_s" setup_s;
-  set "op_ms.p50" (Stats.median m.Batch.op_ms);
-  set "op_ms.p90" (Stats.percentile 90.0 m.Batch.op_ms);
-  set "ops_per_s" (float_of_int (List.length m.Batch.op_ms) /. m.Batch.phase_s);
+  let cpu_ms = Calib.scale_local m.Batch.op_cpu_ms in
+  set "cpu_ms.p50" (Stats.median cpu_ms);
+  set "cpu_ms.p90" (Stats.percentile 90.0 cpu_ms);
+  set "cpu_ms_per_op" (mean cpu_ms);
   set "ok_ratio" (1.0 -. (float_of_int t.Batch.failed /. float_of_int t.Batch.attempted));
   set "peak_rss_mb" (peak_rss_mb "self");
   set "two_q_total" (float_of_int two_q);
   set "depth_2q_total" (float_of_int depth);
-  Printf.eprintf "perfbench: %s seed %d: %d timed compiles in %.2f s\n" name seed
-    (List.length m.Batch.op_ms) m.Batch.phase_s;
+  Printf.eprintf
+    "perfbench: %s seed %d: %d timed compiles; raw wall p50 %.2f ms p90 %.2f ms, raw CPU p50 %.2f ms\n"
+    name seed (List.length m.Batch.op_ms) (Stats.median m.Batch.op_ms)
+    (Stats.percentile 90.0 m.Batch.op_ms) (Stats.median (List.map snd m.Batch.op_cpu_ms));
+  Batch.report_lost (lost + fresh_lost);
+  Calib.report ();
   print_result ~correct:t.Batch.correct ~attempted:t.Batch.attempted
     ~failed:t.Batch.failed end_to_end_units v
 
@@ -219,10 +231,11 @@ let zero_layers () =
   List.iter (fun (k, _) -> Hashtbl.replace v k 0.0) per_layer_units;
   v
 
-let batch_traced name ~seed ~phoenix =
+let batch_traced name ~seed ~phoenix ~args =
   Spans.enabled := true;
   let t = Batch.tally () in
-  let w = batch_setup name seed t in
+  let w, lost = batch_setup name seed in
+  let _, fresh_lost = cold_setups ~count:probe_processes ~own:0.0 args in
   let l = Batch.layers () in
   let rng = Random.State.make [| seed; 17 |] in
   Array.iteri (fun op inp -> Batch.traced_op ~op w t l inp) (Batch.shuffled rng w.Batch.inputs);
@@ -233,6 +246,10 @@ let batch_traced name ~seed ~phoenix =
   Spans.write (Filename.concat out_dir (Printf.sprintf "trace-%s-%d.jsonl" name seed));
   let v = zero_layers () in
   Layers.fill v l;
+  Hashtbl.replace v "wall.op_ms.p50" (Stats.median l.Batch.whole_ms);
+  Hashtbl.replace v "host.speed" (Calib.speed ());
+  Hashtbl.replace v "defect.warmup_lost" (float_of_int (lost + fresh_lost));
+  Batch.report_lost (lost + fresh_lost);
   print_result ~correct:t.Batch.correct ~attempted:t.Batch.attempted
     ~failed:t.Batch.failed per_layer_units v
 
@@ -249,6 +266,8 @@ let () =
       ("--trace", Arg.Set_int trace, "0|1 end-to-end run, or traced per-layer run");
       ("--phoenix", Arg.Set_string phoenix, "EXE the phoenix CLI (serve-mixed)");
       ("--setup-only", Arg.Set setup_only, " set up once, print the set-up time, exit");
+      ("--reference", Arg.Unit (fun () -> Calib.serve_reference (); exit 0),
+       " serve host-speed reference runs on stdin (see calib.ml)");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "main.exe --workload NAME --seed N --seconds S --trace 0|1";
@@ -261,23 +280,17 @@ let () =
   let phoenix = !phoenix and seed = !seed and seconds = !seconds in
   match (!workload, !trace, !setup_only) with
   | ("hw-uccsd" | "qaoa-logical"), _, true ->
-    let t = Batch.tally () in
-    ignore (batch_setup !workload seed t);
-    Batch.report_failures t;
-    setup_line ~seconds:(now () -. process_start) ~attempted:t.Batch.attempted
-      ~failed:t.Batch.failed
+    let _, lost = batch_setup !workload seed in
+    setup_line ~seconds:(Calib.scale (Calib.cpu ())) ~lost
   | "serve-mixed", _, true ->
-    let s, attempted, failed =
-      Load.setup_only ~phoenix ~seed ~seconds ~elapsed:(fun () -> now () -. process_start)
-    in
-    setup_line ~seconds:s ~attempted ~failed
+    let s, lost = Load.setup_only ~phoenix ~seed ~seconds in
+    setup_line ~seconds:s ~lost
   | ("hw-uccsd" | "qaoa-logical"), 0, false ->
     batch_untraced !workload ~seed ~seconds ~phoenix ~args
-  | ("hw-uccsd" | "qaoa-logical"), 1, false -> batch_traced !workload ~seed ~phoenix
+  | ("hw-uccsd" | "qaoa-logical"), 1, false -> batch_traced !workload ~seed ~phoenix ~args
   | "serve-mixed", 0, false ->
     Load.untraced ~phoenix ~seed ~seconds
-      ~own_setup:(fun () -> now () -. process_start)
-      ~cold_setups:(cold_setups args)
+      ~cold_setups:(fun ~own -> cold_setups ~own args)
       ~digest_path:(digest_path ~phoenix "serve-mixed" seed)
       ~peak_rss_mb
       ~print:(fun ~correct ~attempted ~failed v ->
@@ -285,6 +298,7 @@ let () =
   | "serve-mixed", 1, false ->
     Spans.enabled := true;
     Load.traced ~phoenix ~seed ~seconds ~layers:(zero_layers ())
+      ~probe:(fun () -> snd (cold_setups ~count:probe_processes ~own:0.0 args))
       ~digest_path:(digest_path ~phoenix "serve-mixed" seed)
       ~print:(fun ~correct ~attempted ~failed v ->
         Spans.write (Filename.concat out_dir (Printf.sprintf "trace-serve-mixed-%d.jsonl" seed));
