@@ -12,10 +12,11 @@
      passes    list the registered passes and which pipelines use them
      chaos     seeded fault-injection soak over the registered pipelines
 
-   Every compiler — PHOENIX and the baselines — dispatches through the
-   pipeline registry (Phoenix_pipeline.Registry), so they all return the
-   same report, carry declared metrics for lint certification, and
-   support --timings / --trace.
+   Every compile runs through Phoenix_pipeline.Job, the request→outcome
+   path the serve daemon shares; this file only maps argv to a request
+   and the outcome to output and an exit code.  Every compiler — PHOENIX
+   and the baselines — dispatches through the pipeline registry, so they
+   all return the same report and support --timings / --trace.
 
    Exit codes: 0 clean, 2 usage/input error, 3 verification errors
    (--verify), 4 error-severity lint findings or a non-proved
@@ -28,14 +29,13 @@ module Circuit = Phoenix_circuit.Circuit
 module Gate = Phoenix_circuit.Gate
 module Topology = Phoenix_topology.Topology
 module Diag = Phoenix_verify.Diag
-module Structural = Phoenix_verify.Structural
 module Finding = Phoenix_analysis.Finding
-module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Registry = Phoenix_analysis.Registry
 module Determinism = Phoenix_analysis.Determinism
 module Pass = Phoenix.Pass
 module Pipelines = Phoenix_pipeline.Registry
-module Hooks = Phoenix_pipeline.Hooks
+module Job = Phoenix_pipeline.Job
+module Json = Phoenix_serve.Json
 module Cache = Phoenix_cache.Cache
 module Cache_audit = Phoenix_analysis.Cache_audit
 module Budget = Phoenix_util.Budget
@@ -45,144 +45,36 @@ module Resilience_lint = Phoenix_analysis.Resilience_lint
 module Template = Phoenix.Template
 module Certify = Phoenix_tv.Certify
 
-let read_hamiltonian path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  Hamiltonian.of_lines (go [])
+let fail_usage msg =
+  prerr_endline msg;
+  exit 2
 
-(* Builtin workload specifiers now live in Phoenix_serve.Workload so the
-   CLI and the serve daemon accept exactly the same grammar. *)
+(* Builtin workload specifiers and the inline Hamiltonian text format
+   live in Phoenix_serve.Workload, so the CLI and the serve daemon accept
+   exactly the same grammar. *)
 let load source =
-  if Sys.file_exists source then read_hamiltonian source
-  else begin
-    match Phoenix_serve.Workload.of_spec source with
-    | Ok h -> h
-    | Error _ ->
-      Printf.eprintf "no such file or builtin workload: %s\nbuiltins: %s\n"
-        source Phoenix_serve.Workload.grammar;
-      exit 2
-  end
-
-let topology_of_string n = function
-  | "all-to-all" -> None
-  | "heavy-hex" -> Some (Topology.ibm_manhattan ())
-  | "line" -> Some (Topology.line (max n 2))
-  | "ring" -> Some (Topology.ring (max n 3))
-  | "grid" ->
-    let side = int_of_float (ceil (sqrt (float_of_int n))) in
-    Some (Topology.grid ~rows:side ~cols:side)
-  | s ->
-    Printf.eprintf
-      "unknown topology %S (all-to-all, heavy-hex, line, ring, grid)\n" s;
-    exit 2
-
-(* --- shared compilation pipeline ----------------------------------------
-
-   Every compiler goes through the pipeline registry: one dispatch, one
-   report type, declared metrics for certification, pass times and a
-   metric trace for all of them. *)
-
-type compiled = {
-  report : Compiler.report;
-  topo : Topology.t option;
-  lint_isa : Structural.isa;
-  exact : bool;
-  program : int * (Phoenix_pauli.Pauli_string.t * float) list;
-      (** the gadget program the pipeline consumed (register size and
-          tau-scaled angles), for end-to-end translation validation *)
-  hook_findings : (string * Finding.t) list;
-      (** per-pass lint-hook findings (with --lint) *)
-  hook_diags : Diag.t list;
-      (** pass-boundary translation-validation diagnostics (with
-          --verify) *)
-}
+  let module Workload = Phoenix_serve.Workload in
+  let h =
+    if Sys.file_exists source then
+      Workload.of_inline (In_channel.with_open_text source In_channel.input_all)
+    else
+      Result.map_error
+        (fun _ ->
+          Printf.sprintf "no such file or builtin workload: %s\nbuiltins: %s"
+            source Workload.grammar)
+        (Workload.of_spec source)
+  in
+  match h with Ok h -> h | Error msg -> fail_usage msg
 
 let find_pipeline name =
-  match Pipelines.find name with
-  | Some e -> e
-  | None ->
-    Printf.eprintf "unknown compiler %S\n" name;
-    exit 2
+  match Job.entry name with Ok e -> e | Error msg -> fail_usage msg
 
-(* The gadget program a registry compile consumes — mirrors the block /
-   Trotter dispatch in [Pipelines.compile] so the translation-validation
-   analysis checks the circuit against exactly what was compiled. *)
-let program_of_entry (entry : Pipelines.entry) (options : Compiler.options) h =
-  let tau = options.Compiler.tau in
-  let gadgets =
-    match (if entry.Pipelines.uses_blocks then Hamiltonian.term_blocks h else None)
-    with
-    | Some blocks ->
-      List.concat_map
-        (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-             ( t.Phoenix_pauli.Pauli_term.pauli,
-               2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. tau )))
-        blocks
-    | None -> Hamiltonian.trotter_gadgets ~tau h
-  in
-  (Hamiltonian.num_qubits h, gadgets)
-
-let compile_source ?(cache = Cache.Mem) ?(budget = Budget.none) ?cert_acc
-    ~source ~isa ~topology ~compiler ~exact ~verify ~lint () =
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  let topo = topology_of_string n topology in
-  let entry = find_pipeline compiler in
-  if entry.Pipelines.requires_topology && topo = None then begin
-    Printf.eprintf "the %s compiler needs a --topology\n" entry.Pipelines.name;
-    exit 2
-  end;
-  if
-    entry.Pipelines.two_local_only
-    && List.exists
-         (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-         (Hamiltonian.trotter_gadgets h)
-  then begin
-    Printf.eprintf "the %s compiler only handles 2-local workloads\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache;
-      budget;
-      target =
-        (match topo with
-        | None -> Compiler.Logical
-        | Some t -> Compiler.Hardware t);
-    }
-  in
-  let hook_findings = ref [] and hook_diags = ref [] in
-  let hooks =
-    (if lint then [ Hooks.lint hook_findings ] else [])
-    @ (if verify then [ Hooks.translation_validate hook_diags ] else [])
-    @ match cert_acc with Some acc -> [ Hooks.certify acc ] | None -> []
-  in
-  (* fail closed: any exception escaping a pass re-raises as Pass.Failed
-     with the pass named, mapped to a structured exit at top level *)
-  let report = Pipelines.compile ~options ~protect:true ~hooks entry h in
-  {
-    report;
-    topo;
-    lint_isa =
-      (match isa with
-      | Compiler.Cnot_isa -> Structural.Cnot_basis
-      | Compiler.Su4_isa -> Structural.Su4_basis);
-    exact;
-    program = program_of_entry entry options h;
-    hook_findings = List.rev !hook_findings;
-    hook_diags = List.rev !hook_diags;
-  }
+(* Run one job through the shared request→outcome path; a rejected
+   request is a usage error. *)
+let run_job ?tamper ?emit ?keep_circuit request h =
+  match Job.run ?tamper ?emit ?keep_circuit request h with
+  | Ok o -> o
+  | Error msg -> fail_usage msg
 
 (* --- fault injection (testing hook) -------------------------------------
 
@@ -209,6 +101,8 @@ let inject_fault fault c =
   | Zero_angle -> Circuit.append c (Gate.G1 (Gate.Rz 0.0, 0))
   | Dangling -> Circuit.with_num_qubits (Circuit.num_qubits c + 1) c
 
+let tamper_of = function No_fault -> None | f -> Some (inject_fault f)
+
 let fault_enum =
   [
     "none", No_fault;
@@ -217,32 +111,6 @@ let fault_enum =
     "zero-angle", Zero_angle;
     "dangling", Dangling;
   ]
-
-(* Re-validate a (possibly corrupted) final circuit.  This is the whole
-   --verify story for baselines; for phoenix it re-checks the mutated
-   circuit on top of the report's diagnostics. *)
-let structural_diags ~lint_isa ~topo circuit =
-  match Structural.validate ~isa:lint_isa ?topology:topo circuit with
-  | [] ->
-    [
-      Diag.make ~pass:"structural" Diag.Info
-        (if topo = None then "ISA alphabet, qubit range verified"
-         else
-           "ISA alphabet, qubit range and coupling-graph compliance verified");
-    ]
-  | violations -> violations
-
-let declared_of_report (r : Compiler.report) =
-  {
-    Circuit_lint.two_q = r.Compiler.two_q_count;
-    depth_2q = r.Compiler.depth_2q;
-    one_q = r.Compiler.one_q_count;
-  }
-
-let lint_target (c : compiled) circuit =
-  Circuit_lint.target ~isa:c.lint_isa ?topology:c.topo
-    ~declared:(declared_of_report c.report) ~program:c.program ~exact:c.exact
-    ?layout:c.report.Compiler.layout circuit
 
 let print_diagnostics diags =
   Printf.printf "verify:    %s\n" (Diag.summary diags);
@@ -273,18 +141,23 @@ let print_certification boundaries =
     (fun b -> Printf.printf "  %s\n" (Certify.boundary_to_string b))
     boundaries
 
-let write_cert ~pipeline ~workload ~template out boundaries =
-  match out with
+(* Write [text] to FILE, or to stdout for "-". *)
+let write_artifact ~newline path text =
+  if path = "-" then (if newline then print_endline else print_string) text
+  else begin
+    let oc = open_out path in
+    output_string oc text;
+    if newline then output_char oc '\n';
+    close_out oc;
+    Printf.printf "wrote %s\n" path
+  end
+
+let write_cert ~pipeline ~workload (o : Job.outcome) = function
   | None -> ()
   | Some path ->
-    let json = Certify.to_json ~pipeline ~workload ~template boundaries in
-    if path = "-" then print_string json
-    else begin
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    end
+    write_artifact ~newline:false path
+      (Certify.to_json ~pipeline ~workload ~template:(o.Job.template <> None)
+         o.Job.certificate)
 
 (* One line per executed pass: wall seconds plus the GC counters the
    trace now carries — words allocated inside the pass and the process
@@ -304,179 +177,39 @@ let print_cache_stats tier (s : Cache.stats) =
     (Cache.tier_to_string tier) s.Cache.hits s.Cache.misses s.Cache.disk_hits
     s.Cache.disk_errors s.Cache.evictions s.Cache.entries s.Cache.bytes
 
-(* --- parametric templates (--template / --bind) --------------------------
+let print_gates c =
+  List.iter (fun g -> print_endline (Gate.to_string g)) (Circuit.gates c)
 
-   `compile W --template` compiles once with symbolic per-block angle
-   slots and prints the template; `--bind NAME=VAL,...` additionally
-   binds the parameters and reports the concrete circuit through the
-   same metric/dump surface as a direct compile — by construction,
-   `--template --bind '*=1.0' --dump` is byte-identical to a plain
-   `--dump` at the same options. *)
+(* --- rendering a compile outcome -----------------------------------------
 
-let bind_error fmt =
-  Printf.ksprintf
-    (fun m ->
-      prerr_endline (Diag.to_string (Diag.make ~pass:"bind" Diag.Error m));
-      exit 2)
-    fmt
+   Plain compiles and bound templates print the same summary of the
+   (bound) circuit — by construction, `--template --bind '*=1.0' --dump`
+   is byte-identical to a plain `--dump` at the same options.  An
+   unbound template prints its parameter table, slot expressions and
+   slotted prototype instead.  A stream (`--stream N`: N first-order
+   Trotter steps, one chunk per step, peak memory bounded by the chunk)
+   emits each chunk's gates as it finishes and then summarises the
+   aggregate, whose counts come from the merged trace so they are exact
+   whether or not the concatenated circuit was kept. *)
 
-let parse_bindings ~(params : string array) spec =
-  let n = Array.length params in
-  let values = Array.make n 0.0 and set = Array.make n false in
-  let index_of name =
-    let rec find k =
-      if k >= n then
-        bind_error "unknown template parameter %S (the template binds %s)" name
-          (if n = 0 then "no parameters"
-           else if n = 1 then params.(0)
-           else Printf.sprintf "%s .. %s" params.(0) params.(n - 1))
-      else if String.equal params.(k) name then k
-      else find (k + 1)
+let print_summary (o : Job.outcome) circuit =
+  let report = o.Job.report in
+  (match o.Job.stream with
+  | Some sr ->
+    let final =
+      match List.rev report.Compiler.trace with
+      | e :: _ -> e.Pass.after
+      | [] -> Pass.metrics_zero
     in
-    find 0
-  in
-  List.iter
-    (fun pair ->
-      if pair <> "" then begin
-        match String.index_opt pair '=' with
-        | None ->
-          bind_error "malformed --bind entry %S (expected NAME=VALUE)" pair
-        | Some i ->
-          let name = String.sub pair 0 i in
-          let raw = String.sub pair (i + 1) (String.length pair - i - 1) in
-          (match float_of_string_opt raw with
-          | None -> bind_error "non-numeric value %S for parameter %S" raw name
-          | Some v ->
-            if String.equal name "*" then begin
-              Array.fill values 0 n v;
-              Array.fill set 0 n true
-            end
-            else begin
-              let k = index_of name in
-              values.(k) <- v;
-              set.(k) <- true
-            end)
-      end)
-    (String.split_on_char ',' spec);
-  Array.iteri
-    (fun k bound ->
-      if not bound then
-        bind_error
-          "parameter %s is unbound — its slot angles would stay symbolic \
-           (bind it explicitly or use '*=VALUE')"
-          params.(k))
-    set;
-  values
-
-let run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-    ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out ~trace_out
-    ~cache_stats ~bind_spec () =
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  let topo = topology_of_string n topology in
-  let entry = find_pipeline compiler in
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache = tier;
-      budget;
-      target =
-        (match topo with
-        | None -> Compiler.Logical
-        | Some t -> Compiler.Hardware t);
-    }
-  in
-  let cert_acc = ref [] in
-  let hooks = if certify then [ Hooks.certify cert_acc ] else [] in
-  let tmpl =
-    match
-      Pipelines.compile_template ~options ~protect:true ~hooks
-        ~certified:certify entry h
-    with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
-  in
-  (* Print (and persist) the certificate before any lint/verify exit so
-     a refuted boundary is always visible alongside the finding that
-     tripped the exit code. *)
-  let finish_certification () =
-    if certify then begin
-      let bs = Certify.boundaries cert_acc in
-      print_certification bs;
-      write_cert ~pipeline:compiler ~workload:source ~template:true cert_out bs
-    end
-  in
-  let report = Template.report tmpl in
-  let lint_isa =
-    match isa with
-    | Compiler.Cnot_isa -> Structural.Cnot_basis
-    | Compiler.Su4_isa -> Structural.Su4_basis
-  in
-  let print_timings extra =
-    if timings then print_timing_entries (report.Compiler.trace @ extra)
-  in
-  let write_trace bind_trace =
-    match trace_out with
-    | Some path ->
-      let json =
-        Pass.trace_to_json ~compiler ~workload:source
-          ~cache:report.Compiler.cache_stats
-          ~degradations:report.Compiler.degradations
-          (report.Compiler.trace @ bind_trace)
-      in
-      if path = "-" then print_endline json
-      else begin
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end
-    | None -> ()
-  in
-  match bind_spec with
+    Printf.printf "qubits:    %d\n" (Hamiltonian.num_qubits o.Job.hamiltonian);
+    Printf.printf "chunks:    %d\n" sr.Compiler.s_chunks;
+    Printf.printf "gadgets:   %d\n" sr.Compiler.s_gadgets;
+    Printf.printf "gates:     %d\n" final.Pass.gates;
+    Printf.printf "1q gates:  %d\n" final.Pass.one_q;
+    Printf.printf "2q gates:  %d\n" final.Pass.two_q;
+    Printf.printf "depth-2q:  %d\n" report.Compiler.depth_2q;
+    Printf.printf "peak heap: %dw\n" sr.Compiler.s_peak_heap_words
   | None ->
-    (* Unbound dump: the parameter table, slot expressions and slotted
-       prototype.  Linting the prototype demonstrates the unbound-slot
-       finding class (and exits 4): templates are certified by linting
-       their *bound* circuits. *)
-    print_string (Template.dump tmpl);
-    print_timings [];
-    write_trace [];
-    finish_certification ();
-    if lint then begin
-      let findings =
-        Registry.run
-          (Circuit_lint.target ~isa:lint_isa ?topology:topo
-             ~declared:(declared_of_report report) (Template.circuit tmpl))
-        @ Resilience_lint.conformance report
-      in
-      print_findings findings;
-      if Finding.has_errors findings then exit 4
-    end;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
-  | Some spec ->
-    let theta = parse_bindings ~params:(Template.params tmpl) spec in
-    let circuit, bind_trace = Template.bind_with_trace tmpl theta in
-    let diagnostics =
-      if not verify then []
-      else
-        report.Compiler.diagnostics @ structural_diags ~lint_isa ~topo circuit
-    in
-    let findings =
-      if lint then
-        Registry.run
-          (Circuit_lint.target ~isa:lint_isa ?topology:topo
-             ~declared:(declared_of_report report) circuit)
-        @ Resilience_lint.conformance report
-      else []
-    in
     Printf.printf "qubits:    %d\n" (Circuit.num_qubits circuit);
     Printf.printf "gates:     %d\n" (Circuit.length circuit);
     Printf.printf "1q gates:  %d\n" (Circuit.count_1q circuit);
@@ -484,201 +217,59 @@ let run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
     Printf.printf "cnot cost: %d\n" (Circuit.count_cnot circuit);
     Printf.printf "depth:     %d\n" (Circuit.depth circuit);
     Printf.printf "depth-2q:  %d\n" (Circuit.depth_2q circuit);
-    Printf.printf "swaps:     %d\n" report.Compiler.num_swaps;
-    if cache_stats then print_cache_stats tier report.Compiler.cache_stats;
-    if verify then print_diagnostics diagnostics;
-    if lint then print_findings findings;
-    finish_certification ();
-    print_timings bind_trace;
-    if dump then
-      List.iter
-        (fun g -> print_endline (Gate.to_string g))
-        (Circuit.gates circuit);
-    if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-    (match qasm_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    write_trace bind_trace;
-    if verify && Diag.has_errors diagnostics then exit 3;
-    if lint && Finding.has_errors findings then exit 4;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
-
-(* --- streaming compilation (--stream) ------------------------------------
-
-   `compile W --stream N` feeds N first-order Trotter steps of the
-   workload through the pipeline one chunk per step: each chunk is
-   grouped, simplified, synthesized and (with --dump) emitted before the
-   next one starts, so peak working memory is bounded by the chunk, not
-   the whole program.  Lint/verify/certify hooks fire at every pass
-   boundary of every chunk; the summary block, timings and trace are
-   aggregated over the stream.  Logical targets only — chunks route
-   independently, so concatenating per-chunk placements would be
-   unsound. *)
-
-let run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-    ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out ~trace_out
-    ~cache_stats ~fault ~steps () =
-  if steps < 1 then begin
-    Printf.eprintf "--stream needs a positive number of Trotter steps\n";
-    exit 2
-  end;
-  let h = load source in
-  let n = Hamiltonian.num_qubits h in
-  if topology_of_string n topology <> None then begin
-    Printf.eprintf
-      "--stream is a logical-target mode (chunks route independently); drop \
-       --topology and route the concatenated circuit separately\n";
-    exit 2
-  end;
-  let entry = find_pipeline compiler in
-  if
-    entry.Pipelines.two_local_only
-    && List.exists
-         (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-         (Hamiltonian.trotter_gadgets h)
-  then begin
-    Printf.eprintf "the %s compiler only handles 2-local workloads\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  if entry.Pipelines.requires_topology then begin
-    Printf.eprintf "the %s compiler needs a --topology, which --stream \
-                    does not support\n"
-      entry.Pipelines.name;
-    exit 2
-  end;
-  let options =
-    {
-      Compiler.default_options with
-      isa;
-      exact;
-      verify;
-      cache = tier;
-      budget;
-      target = Compiler.Logical;
-    }
-  in
-  let cert_acc = ref [] in
-  let hook_findings = ref [] and hook_diags = ref [] in
-  let hooks =
-    (if lint then [ Hooks.lint hook_findings ] else [])
-    @ (if verify then [ Hooks.translation_validate hook_diags ] else [])
-    @ if certify then [ Hooks.certify cert_acc ] else []
-  in
-  (* Keep the concatenated circuit only when something downstream needs
-     it; otherwise every chunk's circuit is dropped after emission and
-     the run's footprint stays bounded by the chunk size. *)
-  let keep_circuit =
-    qasm_out <> None || draw || lint || verify || fault <> No_fault
-  in
-  let emit =
-    if dump then
-      Some
-        (fun c ->
-          List.iter (fun g -> print_endline (Gate.to_string g)) (Circuit.gates c))
-    else None
-  in
-  let sr =
-    Pipelines.compile_stream ~options ~protect:true ~hooks ~keep_circuit ?emit
-      ~steps entry h
-  in
-  let report = sr.Compiler.s_report in
-  let circuit = inject_fault fault report.Compiler.circuit in
-  let lint_isa =
-    match isa with
-    | Compiler.Cnot_isa -> Structural.Cnot_basis
-    | Compiler.Su4_isa -> Structural.Su4_basis
-  in
-  let diagnostics =
-    if not verify then []
-    else begin
-      let from_report =
-        report.Compiler.diagnostics @ List.rev !hook_diags
-      in
-      if fault = No_fault then from_report
-      else
-        from_report @ Structural.validate ~isa:lint_isa circuit
-    end
-  in
-  let findings =
-    if lint then
-      let step_program = snd (program_of_entry entry options h) in
-      let program =
-        (n, List.concat (List.init steps (fun _ -> step_program)))
-      in
-      Registry.run
-        (Circuit_lint.target ~isa:lint_isa
-           ~declared:(declared_of_report report) ~program ~exact circuit)
-      @ Resilience_lint.conformance report
-    else []
-  in
-  (* metrics from the aggregated trace's final snapshot: gate counts are
-     additive under concatenation, so these are exact whether or not the
-     circuit was kept. *)
-  let final =
-    match List.rev report.Compiler.trace with
-    | e :: _ -> e.Pass.after
-    | [] -> Pass.metrics_zero
-  in
-  Printf.printf "qubits:    %d\n" n;
-  Printf.printf "chunks:    %d\n" sr.Compiler.s_chunks;
-  Printf.printf "gadgets:   %d\n" sr.Compiler.s_gadgets;
-  Printf.printf "gates:     %d\n" final.Pass.gates;
-  Printf.printf "1q gates:  %d\n" final.Pass.one_q;
-  Printf.printf "2q gates:  %d\n" final.Pass.two_q;
-  Printf.printf "depth-2q:  %d\n" report.Compiler.depth_2q;
-  Printf.printf "peak heap: %dw\n" sr.Compiler.s_peak_heap_words;
+    Printf.printf "swaps:     %d\n" report.Compiler.num_swaps);
   if report.Compiler.degradations <> [] then
     Printf.printf "degraded:  %s\n"
-      (Resilience.aggregate_to_string report.Compiler.degradations);
-  if cache_stats then print_cache_stats tier report.Compiler.cache_stats;
-  if verify then print_diagnostics diagnostics;
-  if lint then begin
-    print_findings findings;
-    print_hook_findings (List.rev !hook_findings)
-  end;
-  if certify then begin
-    print_certification (Certify.boundaries cert_acc);
-    write_cert ~pipeline:compiler ~workload:source ~template:false cert_out
-      (Certify.boundaries cert_acc)
-  end;
-  if timings then print_timing_entries report.Compiler.trace;
-  if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-  (match qasm_out with
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  | None -> ());
-  (match trace_out with
-  | Some path ->
-    let json =
-      Pass.trace_to_json ~compiler ~workload:source
-        ~cache:report.Compiler.cache_stats
-        ~degradations:report.Compiler.degradations report.Compiler.trace
-    in
-    if path = "-" then print_endline json
-    else begin
-      let oc = open_out path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+      (Resilience.aggregate_to_string report.Compiler.degradations)
+
+let render_outcome ~source ~pipeline ~dump ~draw ~timings ~cache_stats ~qasm_out
+    ~trace_out ~cert_out (o : Job.outcome) =
+  let req = o.Job.request and report = o.Job.report in
+  let trace = report.Compiler.trace @ o.Job.bind_trace in
+  let print_certificate () =
+    if req.Job.certify then begin
+      print_certification o.Job.certificate;
+      write_cert ~pipeline ~workload:source o cert_out
     end
-  | None -> ());
-  if verify && Diag.has_errors diagnostics then exit 3;
-  if lint
-     && (Finding.has_errors findings
-        || Finding.has_errors (List.map snd (List.rev !hook_findings)))
-  then exit 4;
-  if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-    exit 4
+  in
+  let write_trace () =
+    Option.iter
+      (fun path ->
+        write_artifact ~newline:true path
+          (Pass.trace_to_json ~compiler:pipeline ~workload:source
+             ~cache:report.Compiler.cache_stats
+             ~degradations:report.Compiler.degradations trace))
+      trace_out
+  in
+  match (o.Job.template, o.Job.circuits) with
+  | Some t, [] ->
+    print_string (Template.dump t);
+    if timings then print_timing_entries trace;
+    write_trace ();
+    print_certificate ();
+    if req.Job.lint then print_findings o.Job.findings
+  | _, circuits ->
+    let circuit = List.hd circuits in
+    print_summary o circuit;
+    if cache_stats then print_cache_stats req.Job.cache report.Compiler.cache_stats;
+    if req.Job.verify then print_diagnostics o.Job.diagnostics;
+    if req.Job.lint then begin
+      print_findings o.Job.findings;
+      print_hook_findings o.Job.pass_findings
+    end;
+    print_certificate ();
+    if timings then print_timing_entries trace;
+    (* a stream's gates went out chunk by chunk during the compile *)
+    if dump && o.Job.stream = None then print_gates circuit;
+    if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        output_string oc (Phoenix_circuit.Qasm.to_string circuit);
+        close_out oc;
+        Printf.printf "wrote %s\n" path)
+      qasm_out;
+    write_trace ()
 
 open Cmdliner
 
@@ -851,128 +442,60 @@ let cache_stats_arg =
   in
   Arg.(value & flag & info [ "cache-stats" ] ~doc)
 
+(* The job settings compile, certify and cache warm take from argv;
+   --pipeline is a synonym for --compiler and wins when both are given. *)
+let request_term =
+  let request isa topology compiler pipeline exact =
+    {
+      Job.default with
+      pipeline = Option.value pipeline ~default:compiler;
+      topology;
+      isa;
+      exact;
+    }
+  in
+  Term.(const request $ isa_arg $ topology_arg $ baseline_arg $ pipeline_arg $ exact_arg)
+
 let compile_cmd =
-  let run source isa topology compiler pipeline dump exact verify lint certify
-      cert_out timings qasm_out draw fault trace_out cache cache_stats timeout
-      template bind_spec stream =
-    let compiler = Option.value pipeline ~default:compiler in
-    let tier = cache_tier_of_string cache in
+  let run source request dump verify lint certify cert_out timings qasm_out draw
+      fault trace_out cache cache_stats timeout template bind_spec stream =
+    let pipeline = request.Job.pipeline in
+    let cache = cache_tier_of_string cache in
     let budget = budget_of_timeout timeout in
-    let certify = certify || cert_out <> None in
-    if stream <> None && (template || bind_spec <> None) then begin
-      Printf.eprintf
-        "--stream cannot be combined with --template/--bind (bind the \
-         template, then stream the bound program)\n";
-      exit 2
-    end;
-    match stream with
-    | Some steps ->
-      run_stream_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-        ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out
-        ~trace_out ~cache_stats ~fault ~steps ()
-    | None ->
-    if template || bind_spec <> None then
-      run_template_mode ~source ~isa ~topology ~compiler ~tier ~budget ~exact
-        ~verify ~lint ~certify ~cert_out ~timings ~dump ~draw ~qasm_out
-        ~trace_out ~cache_stats ~bind_spec ()
-    else begin
-    let cert_acc = ref [] in
-    let compiled =
-      compile_source ~cache:tier ~budget
-        ?cert_acc:(if certify then Some cert_acc else None)
-        ~source ~isa ~topology ~compiler ~exact ~verify ~lint ()
+    let template = template || bind_spec <> None in
+    let mode =
+      match stream with
+      | Some _ when template ->
+        fail_usage
+          "--stream cannot be combined with --template/--bind (bind the \
+           template, then stream the bound program)"
+      | Some steps -> Job.Stream steps
+      | None -> if template then Job.Template else Job.Plain
     in
-    let circuit = inject_fault fault compiled.report.Compiler.circuit in
-    let diagnostics =
-      if not verify then []
-      else begin
-        let from_report =
-          compiled.report.Compiler.diagnostics @ compiled.hook_diags
-        in
-        if fault = No_fault then from_report
-        else
-          (* re-check only the mutated circuit; keep the report's own info *)
-          from_report
-          @
-          if compiled.report.Compiler.diagnostics <> [] then
-            Structural.validate ~isa:compiled.lint_isa ?topology:compiled.topo
-              circuit
-          else
-            structural_diags ~lint_isa:compiled.lint_isa ~topo:compiled.topo
-              circuit
-      end
+    let h = load source in
+    let o =
+      run_job ?tamper:(tamper_of fault)
+        ?emit:(if dump then Some print_gates else None)
+        ~keep_circuit:(qasm_out <> None || draw)
+        {
+          request with
+          verify;
+          lint;
+          certify = certify || cert_out <> None;
+          cache;
+          budget;
+          mode;
+          binds = Option.map (fun s -> Job.Assignments s) bind_spec;
+        }
+        h
     in
-    let findings =
-      if lint then
-        Registry.run (lint_target compiled circuit)
-        @ Resilience_lint.conformance compiled.report
-      else []
-    in
-    Printf.printf "qubits:    %d\n" (Circuit.num_qubits circuit);
-    Printf.printf "gates:     %d\n" (Circuit.length circuit);
-    Printf.printf "1q gates:  %d\n" (Circuit.count_1q circuit);
-    Printf.printf "2q gates:  %d\n" (Circuit.count_2q circuit);
-    Printf.printf "cnot cost: %d\n" (Circuit.count_cnot circuit);
-    Printf.printf "depth:     %d\n" (Circuit.depth circuit);
-    Printf.printf "depth-2q:  %d\n" (Circuit.depth_2q circuit);
-    Printf.printf "swaps:     %d\n" compiled.report.Compiler.num_swaps;
-    if compiled.report.Compiler.degradations <> [] then
-      Printf.printf "degraded:  %s\n"
-        (Resilience.aggregate_to_string compiled.report.Compiler.degradations);
-    if cache_stats then
-      print_cache_stats tier compiled.report.Compiler.cache_stats;
-    if verify then print_diagnostics diagnostics;
-    if lint then begin
-      print_findings findings;
-      print_hook_findings compiled.hook_findings
-    end;
-    if certify then begin
-      print_certification (Certify.boundaries cert_acc);
-      write_cert ~pipeline:compiler ~workload:source ~template:false cert_out
-        (Certify.boundaries cert_acc)
-    end;
-    if timings then print_timing_entries compiled.report.Compiler.trace;
-    if dump then
-      List.iter
-        (fun g -> print_endline (Gate.to_string g))
-        (Circuit.gates circuit);
-    if draw then print_string (Phoenix_circuit.Draw.to_string circuit);
-    (match qasm_out with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Phoenix_circuit.Qasm.to_string circuit);
-      close_out oc;
-      Printf.printf "wrote %s\n" path
-    | None -> ());
-    (match trace_out with
-    | Some path ->
-      let json =
-        Pass.trace_to_json ~compiler ~workload:source
-          ~cache:compiled.report.Compiler.cache_stats
-          ~degradations:compiled.report.Compiler.degradations
-          compiled.report.Compiler.trace
-      in
-      if path = "-" then print_endline json
-      else begin
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-      end
-    | None -> ());
-    if verify && Diag.has_errors diagnostics then exit 3;
-    if lint
-       && (Finding.has_errors findings
-          || Finding.has_errors (List.map snd compiled.hook_findings))
-    then exit 4;
-    if certify && not (Certify.all_proved (Certify.boundaries cert_acc)) then
-      exit 4
-    end
+    render_outcome ~source ~pipeline ~dump ~draw ~timings ~cache_stats ~qasm_out
+      ~trace_out ~cert_out o;
+    exit (Job.exit_code o.Job.status)
   in
   let doc = "Compile a Hamiltonian-simulation program." in
   Cmd.v (Cmd.info "compile" ~doc)
-    Term.(const run $ source_arg $ isa_arg $ topology_arg $ baseline_arg $ pipeline_arg $ dump_arg $ exact_arg $ verify_arg $ lint_arg $ certify_arg $ cert_out_arg $ timings_arg $ qasm_arg $ draw_arg $ fault_arg $ trace_arg $ cache_arg $ cache_stats_arg $ timeout_arg $ template_arg $ bind_arg $ stream_arg)
+    Term.(const run $ source_arg $ request_term $ dump_arg $ verify_arg $ lint_arg $ certify_arg $ cert_out_arg $ timings_arg $ qasm_arg $ draw_arg $ fault_arg $ trace_arg $ cache_arg $ cache_stats_arg $ timeout_arg $ template_arg $ bind_arg $ stream_arg)
 
 let info_cmd =
   let run source =
@@ -1063,6 +586,17 @@ let simulate_cmd =
 
 (* --- analyze: IR statistics (legacy --stats view) ------------------------ *)
 
+(* The IR groups PHOENIX forms for [h]: its term blocks when recorded,
+   support-keyed groups of its Trotter program otherwise. *)
+let ir_groups ~exact h =
+  let n = Hamiltonian.num_qubits h in
+  let chunk =
+    Compiler.chunk_of_hamiltonian ~tau:Compiler.default_options.Compiler.tau h
+  in
+  match chunk.Compiler.chunk_blocks with
+  | Some blocks -> Phoenix.Group.of_blocks n blocks
+  | None -> Phoenix.Group.group_gadgets ~exact n chunk.Compiler.chunk_gadgets
+
 let print_ir_stats h =
   let n = Hamiltonian.num_qubits h in
   let gadgets = Hamiltonian.trotter_gadgets h in
@@ -1074,17 +608,7 @@ let print_ir_stats h =
     gadgets;
   Printf.printf "Pauli-weight histogram (raw IR):\n";
   Array.iteri (fun w c -> if c > 0 then Printf.printf "  weight %2d: %d\n" w c) hist;
-  let groups =
-    match Hamiltonian.term_blocks h with
-    | Some blocks ->
-      Phoenix.Group.of_blocks n
-        (List.map
-           (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-                t.Phoenix_pauli.Pauli_term.pauli,
-                2.0 *. t.Phoenix_pauli.Pauli_term.coeff))
-           blocks)
-    | None -> Phoenix.Group.group_gadgets n gadgets
-  in
+  let groups = ir_groups ~exact:false h in
   let cliff_hist = Hashtbl.create 8 in
   let total_cliffs = ref 0 in
   List.iter
@@ -1184,46 +708,21 @@ let analyze_cmd =
         (String.concat ", " missing)
         (String.concat ", " (Registry.names ()));
       exit 2);
-    let compiled =
-      compile_source ~source ~isa ~topology ~compiler ~exact ~verify:false
-        ~lint:false ()
+    let h = load source in
+    let o =
+      run_job ?tamper:(tamper_of fault)
+        { Job.default with pipeline = compiler; topology; isa; exact }
+        h
     in
-    let circuit = inject_fault fault compiled.report.Compiler.circuit in
-    let findings = Registry.run ?only ?skip (lint_target compiled circuit) in
+    let circuit = List.hd o.Job.circuits in
+    let findings = Registry.run ?only ?skip (Job.lint_target o circuit) in
     let findings =
       if determinism then begin
-        if compiler <> "phoenix" then begin
-          Printf.eprintf
-            "analyze: --determinism only applies to the phoenix compiler\n";
-          exit 2
-        end;
-        let h = load source in
-        let n = Hamiltonian.num_qubits h in
-        let options =
-          {
-            Compiler.default_options with
-            isa;
-            exact;
-            target =
-              (match compiled.topo with
-              | None -> Compiler.Logical
-              | Some t -> Compiler.Hardware t);
-          }
-        in
-        let groups =
-          match Hamiltonian.term_blocks h with
-          | Some blocks ->
-            Phoenix.Group.of_blocks n
-              (List.map
-                 (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-                      t.Phoenix_pauli.Pauli_term.pauli,
-                      2.0 *. t.Phoenix_pauli.Pauli_term.coeff))
-                 blocks)
-          | None ->
-            Phoenix.Group.group_gadgets ~exact n
-              (Hamiltonian.trotter_gadgets h)
-        in
-        findings @ Determinism.audit_groups ~options n groups
+        if compiler <> "phoenix" then
+          fail_usage "analyze: --determinism only applies to the phoenix compiler";
+        findings
+        @ Determinism.audit_groups ~options:o.Job.options
+            (Hamiltonian.num_qubits h) (ir_groups ~exact h)
       end
       else findings
     in
@@ -1241,7 +740,7 @@ let analyze_cmd =
       in
       Printf.printf "analyses:  %s\n" (String.concat ", " selected);
       print_findings findings;
-      if stats then print_ir_stats (load source)
+      if stats then print_ir_stats h
     end;
     if Finding.has_errors findings then exit 4
   in
@@ -1273,42 +772,19 @@ let certify_cmd =
     in
     Arg.(value & flag & info [ "template" ] ~doc)
   in
-  let run source isa topology compiler pipeline exact template json_out =
-    let compiler = Option.value pipeline ~default:compiler in
-    let cert_acc = ref [] in
-    if template then begin
-      let h = load source in
-      let n = Hamiltonian.num_qubits h in
-      let topo = topology_of_string n topology in
-      let entry = find_pipeline compiler in
-      let options =
+  let run source request template json_out =
+    let o =
+      run_job
         {
-          Compiler.default_options with
-          isa;
-          exact;
-          target =
-            (match topo with
-            | None -> Compiler.Logical
-            | Some t -> Compiler.Hardware t);
+          request with
+          certify = true;
+          mode = (if template then Job.Template else Job.Plain);
         }
-      in
-      match
-        Pipelines.compile_template ~options ~protect:true
-          ~hooks:[ Hooks.certify cert_acc ] ~certified:true entry h
-      with
-      | Ok _ -> ()
-      | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 2
-    end
-    else
-      ignore
-        (compile_source ~cert_acc ~source ~isa ~topology ~compiler ~exact
-           ~verify:false ~lint:false ());
-    let bs = Certify.boundaries cert_acc in
-    print_certification bs;
-    write_cert ~pipeline:compiler ~workload:source ~template json_out bs;
-    if not (Certify.all_proved bs) then exit 4
+        (load source)
+    in
+    print_certification o.Job.certificate;
+    write_cert ~pipeline:request.Job.pipeline ~workload:source o json_out;
+    exit (Job.exit_code o.Job.status)
   in
   let doc =
     "Compile a workload under the symbolic translation validator and report \
@@ -1319,7 +795,7 @@ let certify_cmd =
      templates.  Exits 4 unless every pass boundary is proved."
   in
   Cmd.v (Cmd.info "certify" ~doc)
-    Term.(const run $ source_arg $ isa_arg $ topology_arg $ baseline_arg $ pipeline_arg $ exact_arg $ template_flag $ json_arg)
+    Term.(const run $ source_arg $ request_term $ template_flag $ json_arg)
 
 (* --- passes: the pipeline/pass registry ---------------------------------- *)
 
@@ -1336,17 +812,10 @@ let passes_cmd =
       Printf.printf "%s — %s\n" entry.Pipelines.name
         entry.Pipelines.description;
       Printf.printf "passes (hardware target, verification on):\n";
-      let repr =
-        {
-          Compiler.default_options with
-          Compiler.target = Compiler.Hardware (Topology.line 4);
-          verify = true;
-        }
-      in
       List.iter
         (fun (p : Pass.t) ->
           Printf.printf "  %-10s %s\n" p.Pass.name p.Pass.description)
-        (entry.Pipelines.passes repr)
+        (entry.Pipelines.passes Pipelines.catalog_options)
     | None ->
       Printf.printf "pipelines:\n";
       List.iter
@@ -1384,10 +853,9 @@ let cache_cmd =
       let bytes = Cache.Persist.disk_bytes ~dir () in
       if json then
         Printf.printf
-          "{ \"schema\": \"phoenix-cache-stats-v1\", \"dir\": \"%s\", \
+          "{ \"schema\": \"phoenix-cache-stats-v1\", \"dir\": %s, \
            \"entries\": %d, \"bytes\": %d, \"memory_budget_bytes\": %d }\n"
-          (String.concat "\\\\" (String.split_on_char '\\' dir))
-          entries bytes (Cache.budget ())
+          (Json.escape dir) entries bytes (Cache.budget ())
       else begin
         Printf.printf "dir:       %s\n" dir;
         Printf.printf "entries:   %d\n" entries;
@@ -1407,17 +875,14 @@ let cache_cmd =
     Cmd.v (Cmd.info "clear" ~doc) Term.(const run $ const ())
   in
   let warm_sub =
-    let run source isa topology compiler pipeline exact =
-      let compiler = Option.value pipeline ~default:compiler in
-      let compiled =
-        compile_source ~cache:Cache.Disk ~source ~isa ~topology ~compiler
-          ~exact ~verify:false ~lint:false ()
-      in
-      let s = compiled.report.Compiler.cache_stats in
+    let run source request =
+      let pipeline = request.Job.pipeline in
+      let o = run_job { request with cache = Cache.Disk } (load source) in
+      let s = o.Job.report.Compiler.cache_stats in
       Printf.printf
         "warmed %s (%s): %d groups, %d new entries persisted, %d hits / %d \
          misses\n"
-        source compiler compiled.report.Compiler.num_groups s.Cache.insertions
+        source pipeline o.Job.report.Compiler.num_groups s.Cache.insertions
         s.Cache.hits s.Cache.misses;
       Printf.printf "cache dir: %s (%d entries, %d bytes)\n" (Cache.dir ())
         (List.length (Cache.Persist.list_files ~dir:(Cache.dir ()) ()))
@@ -1428,7 +893,7 @@ let cache_cmd =
        other processes) start from a warm synthesis cache."
     in
     Cmd.v (Cmd.info "warm" ~doc)
-      Term.(const run $ source_arg $ isa_arg $ topology_arg $ baseline_arg $ pipeline_arg $ exact_arg)
+      Term.(const run $ source_arg $ request_term)
   in
   let audit_sub =
     let run json =
@@ -1531,12 +996,7 @@ let chaos_cmd =
     in
     let h = load workload in
     let n = Hamiltonian.num_qubits h in
-    let two_local =
-      not
-        (List.exists
-           (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-           (Hamiltonian.trotter_gadgets h))
-    in
+    let two_local = Hamiltonian.max_weight h <= 2 in
     (* Isolated persistent-cache directory: the soak corrupts staged cache
        entries on purpose and must never touch a user's cache.  Entries
        survive between runs so later runs exercise the corrupt-read path. *)
@@ -1651,17 +1111,19 @@ let chaos_cmd =
       let buf = Buffer.create 4096 in
       Buffer.add_string buf
         (Printf.sprintf
-           "{ \"schema\": \"phoenix-chaos-v1\", \"workload\": %S, \"plan\": \
-            %S, \"base_seed\": %d, \"runs_per_pipeline\": %d, \"results\": ["
-           workload plan_str seed runs);
+           "{ \"schema\": \"phoenix-chaos-v1\", \"workload\": %s, \"plan\": \
+            %s, \"base_seed\": %d, \"runs_per_pipeline\": %d, \"results\": ["
+           (Json.escape workload) (Json.escape plan_str) seed runs);
       List.iteri
         (fun i (pipe, s, cls, detail) ->
           if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf
             (Printf.sprintf
-               "{ \"pipeline\": %S, \"seed\": %d, \"class\": %S, \"detail\": \
-                %S }"
-               pipe s (chaos_class_name cls) detail))
+               "{ \"pipeline\": %s, \"seed\": %d, \"class\": %s, \"detail\": \
+                %s }"
+               (Json.escape pipe) s
+               (Json.escape (chaos_class_name cls))
+               (Json.escape detail)))
         results;
       Buffer.add_string buf
         (Printf.sprintf
@@ -1693,7 +1155,6 @@ let chaos_cmd =
 
 let serve_cmd =
   let module Serve = Phoenix_serve.Serve in
-  let module Json = Phoenix_serve.Json in
   let run socket port host workers max_queue timeout max_request_kb self_test
       connect =
     if workers < 1 then begin
@@ -1876,23 +1337,16 @@ let () =
       Cmd.eval ~catch:false
         (Cmd.group info
            [ compile_cmd; info_cmd; bench_cmd; simulate_cmd; analyze_cmd; certify_cmd; passes_cmd; cache_cmd; chaos_cmd; serve_cmd ])
-    with
-    | Pass.Interrupted { pass; reason } ->
-      (* a budget expired in a pass with no fallback rung: fail closed
-         with the documented exit code (5 deadline, 1 cancellation) *)
-      Printf.eprintf "phoenix: %s\n"
-        (Diag.to_string
-           (Diag.make ~pass Diag.Error
-              (match reason with
-              | Budget.Deadline -> "deadline exceeded with no fallback available"
-              | Budget.Cancelled -> "job cancelled")));
-      (match reason with
-      | Budget.Deadline -> Resilience.exit_deadline
-      | Budget.Cancelled -> 1)
-    | Pass.Failed { pass; error } ->
-      Printf.eprintf "phoenix: %s\n"
-        (Diag.to_string
-           (Diag.make ~pass Diag.Error ("pass failed closed: " ^ error)));
-      1
+    with exn -> (
+      (* a pass failed closed, or a budget expired in a pass with no
+         fallback rung: exit 5 on a deadline, 1 otherwise *)
+      match Job.failure exn with
+      | Some (Job.Deadline msg) ->
+        Printf.eprintf "phoenix: %s\n" msg;
+        Resilience.exit_deadline
+      | Some (Job.Failed msg) ->
+        Printf.eprintf "phoenix: %s\n" msg;
+        1
+      | None -> raise exn)
   in
   exit status

@@ -462,8 +462,7 @@ let passes ?synthesize ?(with_grouping = true) (options : options) =
       (if options.verify then [ verify_pass ] else []);
     ]
 
-let report_of_ctx ?(cache_stats = Cache.stats_zero) ~wall_time (ctx : Pass.ctx)
-    trace =
+let report_of_ctx ~cache_stats ~wall_time (ctx : Pass.ctx) trace =
   {
     circuit = ctx.Pass.circuit;
     two_q_count = Circuit.count_2q ctx.Pass.circuit;
@@ -482,15 +481,57 @@ let report_of_ctx ?(cache_stats = Cache.stats_zero) ~wall_time (ctx : Pass.ctx)
     layout = ctx.Pass.layout;
   }
 
-let run_pipeline ?protect ?hooks ?synthesize ~with_grouping options ctx =
+let run_passes ?protect ?hooks pipeline ctx =
   let t0 = Clock.monotonic_s () in
   let before = Cache.stats () in
-  let ctx, trace =
-    Pass.run ?protect ?hooks (passes ?synthesize ~with_grouping options) ctx
-  in
+  let ctx, trace = Pass.run ?protect ?hooks pipeline ctx in
   report_of_ctx
     ~cache_stats:(Cache.diff (Cache.stats ()) before)
     ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
+
+let run_pipeline ?protect ?hooks ?synthesize ~with_grouping options ctx =
+  run_passes ?protect ?hooks (passes ?synthesize ~with_grouping options) ctx
+
+(* --- the block / Trotter dispatch -------------------------------------- *)
+
+(* A gadget program plus (optionally) its algorithm-level block
+   structure, mirroring the [compile_gadgets] / [compile_blocks] split —
+   grouping semantics differ between the two, so the distinction must
+   survive chunking. *)
+type chunk = {
+  chunk_gadgets : (Phoenix_pauli.Pauli_string.t * float) list;
+  chunk_blocks : (Phoenix_pauli.Pauli_string.t * float) list list option;
+}
+
+let chunk_of_gadgets gadgets = { chunk_gadgets = gadgets; chunk_blocks = None }
+
+let chunk_of_blocks blocks =
+  { chunk_gadgets = List.concat blocks; chunk_blocks = Some blocks }
+
+(* The one place a Hamiltonian's IR is chosen: its recorded term blocks
+   (split from the same term list, so the flat program is the Trotter
+   program either way), or the Trotter gadgets alone. *)
+let chunk_of_hamiltonian ?(blocks = true) ~tau h =
+  let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
+    (t.Phoenix_pauli.Pauli_term.pauli, 2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. tau)
+  in
+  {
+    chunk_gadgets = Hamiltonian.trotter_gadgets ~tau h;
+    chunk_blocks =
+      (if blocks then
+         Option.map (List.map (List.map to_gadget)) (Hamiltonian.term_blocks h)
+       else None);
+  }
+
+(* One parameter block per term block, or per gadget when none are
+   recorded: the parametrisation of templates and the VQE ansatz. *)
+let parameter_blocks c =
+  match c.chunk_blocks with
+  | Some blocks -> blocks
+  | None -> List.map (fun g -> [ g ]) c.chunk_gadgets
+
+let context_of_chunk options n c =
+  Pass.init ~gadgets:c.chunk_gadgets ?term_blocks:c.chunk_blocks options n
 
 let compile_groups ?(options = default_options) ?protect ?hooks ?synthesize n
     groups =
@@ -508,20 +549,6 @@ let compile_blocks ?(options = default_options) ?protect ?hooks ?synthesize n
     (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
 
 (* --- streaming compilation -------------------------------------------- *)
-
-(* One unit of streaming work: a gadget program plus (optionally) its
-   algorithm-level block structure, mirroring the [compile_gadgets] /
-   [compile_blocks] split — grouping semantics differ between the two,
-   so the distinction must survive chunking. *)
-type chunk = {
-  chunk_gadgets : (Phoenix_pauli.Pauli_string.t * float) list;
-  chunk_blocks : (Phoenix_pauli.Pauli_string.t * float) list list option;
-}
-
-let chunk_of_gadgets gadgets = { chunk_gadgets = gadgets; chunk_blocks = None }
-
-let chunk_of_blocks blocks =
-  { chunk_gadgets = List.concat blocks; chunk_blocks = Some blocks }
 
 type stream_report = {
   s_report : report;
@@ -597,13 +624,10 @@ let compile_stream ?(options = default_options) ?protect ?hooks
     (fun chunk ->
       incr chunks_n;
       gadgets_n := !gadgets_n + List.length chunk.chunk_gadgets;
-      let ctx =
-        match chunk.chunk_blocks with
-        | Some blocks ->
-          Pass.init ~gadgets:chunk.chunk_gadgets ~term_blocks:blocks options n
-        | None -> Pass.init ~gadgets:chunk.chunk_gadgets options n
+      let ctx, trace =
+        Pass.run ?protect ?hooks (pipeline options)
+          (context_of_chunk options n chunk)
       in
-      let ctx, trace = Pass.run ?protect ?hooks (pipeline options) ctx in
       traces := trace :: !traces;
       let c = ctx.Pass.circuit in
       two_q_rev := Circuit.count_2q c :: !two_q_rev;
@@ -760,21 +784,11 @@ let compile_template ?(options = default_options) ?protect ?hooks
      binding at once. *)
   let verify_requested = options.verify in
   let options = { options with verify = false } in
-  let t0 = Clock.monotonic_s () in
-  let before = Cache.stats () in
-  let ctx =
-    Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n
-  in
-  let ctx, trace =
-    Pass.run ?protect ?hooks
+  let report =
+    run_passes ?protect ?hooks
       (passes ~with_grouping:true options
       @ [ parametrize_pass ~params ~verify_requested ~certified ])
-      ctx
-  in
-  let report =
-    report_of_ctx
-      ~cache_stats:(Cache.diff (Cache.stats ()) before)
-      ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
+      (context_of_chunk options n (chunk_of_blocks blocks))
   in
   (* Degraded results are never templated: a template is replayed on
      every future bind, so baking in a budget-driven fallback (naive
@@ -813,33 +827,6 @@ let compile_template ?(options = default_options) ?protect ?hooks
   }
 
 let compile ?(options = default_options) ?protect ?hooks h =
-  let n = Hamiltonian.num_qubits h in
-  match Hamiltonian.term_blocks h with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.tau )
-    in
-    compile_blocks ~options ?protect ?hooks n
-      (List.map (List.map to_gadget) blocks)
-  | None ->
-    compile_gadgets ~options ?protect ?hooks n
-      (Hamiltonian.trotter_gadgets ~tau:options.tau h)
-
-let chunk_of_hamiltonian options h =
-  match Hamiltonian.term_blocks h with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.tau )
-    in
-    chunk_of_blocks (List.map (List.map to_gadget) blocks)
-  | None -> chunk_of_gadgets (Hamiltonian.trotter_gadgets ~tau:options.tau h)
-
-let stream_of_hamiltonian ?(steps = 1) options h =
-  if steps < 1 then
-    invalid_arg "Compiler.stream_of_hamiltonian: steps must be positive";
-  (* Build the per-step chunk once; every Trotter step conjugates the
-     same gadget program, so the stream repeats it lazily. *)
-  let chunk = chunk_of_hamiltonian options h in
-  Seq.init steps (fun _ -> chunk)
+  run_pipeline ?protect ?hooks ~with_grouping:true options
+    (context_of_chunk options (Hamiltonian.num_qubits h)
+       (chunk_of_hamiltonian ~tau:options.tau h))

@@ -102,17 +102,13 @@ type report = {
           circuits back onto the logical register. *)
 }
 
-val report_of_ctx :
-  ?cache_stats:Phoenix_cache.Cache.stats ->
-  wall_time:float ->
-  Pass.ctx ->
-  Pass.trace ->
-  report
-(** Fold a finished pipeline run into the common report — used by every
-    registered pipeline (see [Phoenix_pipeline.Registry]) so PHOENIX and
-    the baselines report through one type.  [cache_stats] defaults to
-    {!Phoenix_cache.Cache.stats_zero}; pipeline runners pass the
-    per-run counter delta. *)
+val run_passes :
+  ?protect:bool -> ?hooks:Pass.hook list -> Pass.t list -> Pass.ctx -> report
+(** Run a pass list over a context ({!Pass.run}) and fold the result into
+    the common report, with the run's wall time and synthesis-cache
+    counter delta — used by every registered pipeline (see
+    [Phoenix_pipeline.Registry]) so PHOENIX and the baselines report
+    through one type. *)
 
 val passes :
   ?synthesize:(Group.t -> Phoenix_circuit.Circuit.t) ->
@@ -208,6 +204,24 @@ val chunk_of_gadgets : (Phoenix_pauli.Pauli_string.t * float) list -> chunk
 val chunk_of_blocks :
   (Phoenix_pauli.Pauli_string.t * float) list list -> chunk
 
+val chunk_of_hamiltonian :
+  ?blocks:bool -> tau:float -> Phoenix_ham.Hamiltonian.t -> chunk
+(** The block / Trotter dispatch, the one place a Hamiltonian's IR is
+    chosen: its first-order Trotter gadget program at step [tau], plus
+    its algorithm-level term blocks when [blocks] (default [true]) and
+    the Hamiltonian records them.  Every compile path — {!compile}, the
+    pipeline registry's compile, stream and template entry points, and
+    the lint program of [Phoenix_pipeline.Job] — goes through here. *)
+
+val parameter_blocks :
+  chunk -> (Phoenix_pauli.Pauli_string.t * float) list list
+(** The chunk's term blocks, or one single-gadget block per gadget when
+    it records none — one template or ansatz parameter per block. *)
+
+val context_of_chunk : options -> int -> chunk -> Pass.ctx
+(** The initial pass context for a chunk over [n] qubits: its gadgets,
+    and its blocks as [term_blocks] when it carries them. *)
+
 type stream_report = {
   s_report : report;
       (** aggregated over the whole stream: the concatenated circuit
@@ -248,14 +262,6 @@ val compile_stream :
     independently, and concatenating per-chunk placements is unsound.
     Streaming is a logical-target mode; route the concatenated circuit
     separately if needed. *)
-
-val stream_of_hamiltonian :
-  ?steps:int -> options -> Phoenix_ham.Hamiltonian.t -> chunk Seq.t
-(** [steps] (default 1) first-order Trotter steps of [h]: a lazy stream
-    repeating the Hamiltonian's per-step chunk — term blocks (with the
-    same angle convention as {!compile}) when [h] records them, the
-    flat [trotter_gadgets] program otherwise.  Raises
-    [Invalid_argument] if [steps < 1]. *)
 
 (** {1 Parametric compilation} *)
 

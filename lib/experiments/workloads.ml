@@ -1,5 +1,4 @@
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Pauli_term = Phoenix_pauli.Pauli_term
 
 type uccsd_case = {
   label : string;
@@ -8,9 +7,6 @@ type uccsd_case = {
 }
 
 let gadgets c = List.concat c.gadget_blocks
-
-let to_gadget (t : Pauli_term.t) =
-  t.Pauli_term.pauli, 2.0 *. t.Pauli_term.coeff
 
 let uccsd_suite ?labels () =
   let wanted b =
@@ -26,10 +22,10 @@ let uccsd_suite ?labels () =
           Phoenix_ham.Uccsd.ansatz b.Phoenix_ham.Molecules.encoding
             b.Phoenix_ham.Molecules.spec
         in
+        let chunk = Phoenix.Compiler.chunk_of_hamiltonian ~tau:1.0 h in
         let blocks =
-          match Hamiltonian.term_blocks h with
-          | Some blocks -> List.map (List.map to_gadget) blocks
-          | None -> [ List.map to_gadget (Hamiltonian.terms h) ]
+          Option.value chunk.Phoenix.Compiler.chunk_blocks
+            ~default:[ chunk.Phoenix.Compiler.chunk_gadgets ]
         in
         Some
           {

@@ -347,14 +347,26 @@ let audit t =
   scalar "n_nl (nonlocal rows)" st.n_nl fresh.n_nl;
   List.rev !issues
 
-let debug_audit_enabled =
-  lazy
-    (match Sys.getenv_opt "PHOENIX_BSF_AUDIT" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+(* Read on first use, since a test binary sets the variable after this
+   module initialises; memoised in an atomic, not a [lazy], because
+   domains racing on a [lazy]'s first force raise
+   [CamlinternalLazy.Undefined]. *)
+let debug_audit_memo = Atomic.make None
+
+let debug_audit_enabled () =
+  match Atomic.get debug_audit_memo with
+  | Some on -> on
+  | None ->
+    let on =
+      match Sys.getenv_opt "PHOENIX_BSF_AUDIT" with
+      | None | Some "" | Some "0" -> false
+      | Some _ -> true
+    in
+    Atomic.set debug_audit_memo (Some on);
+    on
 
 let debug_audit t =
-  if Lazy.force debug_audit_enabled then
+  if debug_audit_enabled () then
     match audit t with
     | [] -> ()
     | issues ->

@@ -51,8 +51,3 @@ let translation_validate acc : Pass.hook =
     in
     acc := d :: !acc
   end
-
-(* Symbolic translation validation lives in [Phoenix_tv]; re-exported
-   here so pipeline consumers find all three boundary hooks (lint,
-   propagation validation, certification) in one place. *)
-let certify = Phoenix_tv.Certify.hook

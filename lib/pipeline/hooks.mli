@@ -21,12 +21,3 @@ val translation_validate :
     success, an [Error] on mismatch.  This gives baseline pipelines —
     which had no verification story at all — a translation-validation
     check for free. *)
-
-val certify :
-  Phoenix_tv.Certify.boundary list ref -> Phoenix.Pass.hook
-(** {!Phoenix_tv.Certify.hook}: symbolic translation validation of every
-    executed pass boundary against the pass's claimed certificate.
-    Unlike {!translation_validate} this audits {e all} boundaries —
-    including peephole and routing — and works on slotted (template)
-    circuits, because the check happens in the frame × phase-polynomial
-    abstract domain rather than by dense simulation. *)

@@ -2,7 +2,6 @@ module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Passes = Phoenix.Passes
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Clock = Phoenix_util.Clock
 
 type entry = {
   name : string;
@@ -112,13 +111,8 @@ let names () = List.map (fun e -> e.name) all
 
 (* --- running a registered pipeline ------------------------------------ *)
 
-let run ?protect ?hooks entry (options : Compiler.options) ctx =
-  let t0 = Clock.monotonic_s () in
-  let before = Phoenix_cache.Cache.stats () in
-  let ctx, trace = Pass.run ?protect ?hooks (entry.passes options) ctx in
-  Compiler.report_of_ctx
-    ~cache_stats:(Phoenix_cache.Cache.diff (Phoenix_cache.Cache.stats ()) before)
-    ~wall_time:(Clock.monotonic_s () -. t0) ctx trace
+let run ?protect ?hooks entry options ctx =
+  Compiler.run_passes ?protect ?hooks (entry.passes options) ctx
 
 let compile_gadgets ?(options = Compiler.default_options) ?protect ?hooks entry
     n gadgets =
@@ -127,43 +121,26 @@ let compile_gadgets ?(options = Compiler.default_options) ?protect ?hooks entry
 let compile_blocks ?(options = Compiler.default_options) ?protect ?hooks entry n
     blocks =
   run ?protect ?hooks entry options
-    (Pass.init ~gadgets:(List.concat blocks) ~term_blocks:blocks options n)
+    (Compiler.context_of_chunk options n (Compiler.chunk_of_blocks blocks))
+
+let chunk entry (options : Compiler.options) h =
+  Compiler.chunk_of_hamiltonian ~blocks:entry.uses_blocks
+    ~tau:options.Compiler.tau h
 
 let compile ?(options = Compiler.default_options) ?protect ?hooks entry h =
-  let n = Hamiltonian.num_qubits h in
-  match (if entry.uses_blocks then Hamiltonian.term_blocks h else None) with
-  | Some blocks ->
-    let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-      ( t.Phoenix_pauli.Pauli_term.pauli,
-        2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.Compiler.tau )
-    in
-    compile_blocks ~options ?protect ?hooks entry n
-      (List.map (List.map to_gadget) blocks)
-  | None ->
-    compile_gadgets ~options ?protect ?hooks entry n
-      (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
+  run ?protect ?hooks entry options
+    (Compiler.context_of_chunk options (Hamiltonian.num_qubits h)
+       (chunk entry options h))
 
 (* --- streaming compilation -------------------------------------------- *)
 
 let compile_stream ?(options = Compiler.default_options) ?protect ?hooks
     ?keep_circuit ?emit ~steps entry h =
-  let n = Hamiltonian.num_qubits h in
-  let chunk =
-    match (if entry.uses_blocks then Hamiltonian.term_blocks h else None) with
-    | Some blocks ->
-      let to_gadget (t : Phoenix_pauli.Pauli_term.t) =
-        ( t.Phoenix_pauli.Pauli_term.pauli,
-          2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. options.Compiler.tau )
-      in
-      Compiler.chunk_of_blocks (List.map (List.map to_gadget) blocks)
-    | None ->
-      Compiler.chunk_of_gadgets
-        (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
-  in
   if steps < 1 then
     invalid_arg "Registry.compile_stream: steps must be positive";
+  let chunk = chunk entry options h in
   Compiler.compile_stream ~options ?protect ?hooks ?keep_circuit ?emit
-    ~pipeline:entry.passes n
+    ~pipeline:entry.passes (Hamiltonian.num_qubits h)
     (Seq.init steps (fun _ -> chunk))
 
 (* --- parametric compilation ------------------------------------------- *)
@@ -182,25 +159,11 @@ let compile_template ?(options = Compiler.default_options) ?protect ?hooks
           canonical phoenix pipeline compiles symbolic angles)"
          entry.name)
   else begin
-    let n = Hamiltonian.num_qubits h in
     (* One parameter per algorithm-level block (or per Trotter gadget
        when the Hamiltonian records no blocks), scaling the block's
        tau-scaled base angles: binding every parameter to 1.0 replays
        [compile] at the same options bit-identically. *)
-    let blocks =
-      match Hamiltonian.term_blocks h with
-      | Some blocks ->
-        List.map
-          (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-               ( t.Phoenix_pauli.Pauli_term.pauli,
-                 2.0 *. t.Phoenix_pauli.Pauli_term.coeff
-                 *. options.Compiler.tau )))
-          blocks
-      | None ->
-        List.map
-          (fun g -> [ g ])
-          (Hamiltonian.trotter_gadgets ~tau:options.Compiler.tau h)
-    in
+    let blocks = Compiler.parameter_blocks (chunk entry options h) in
     let symbolic =
       List.mapi
         (fun k block ->
@@ -214,8 +177,8 @@ let compile_template ?(options = Compiler.default_options) ?protect ?hooks
       Array.init (List.length blocks) (Printf.sprintf "theta%d")
     in
     Ok
-      (Compiler.compile_template ~options ?protect ?hooks ?certified ~params n
-         symbolic)
+      (Compiler.compile_template ~options ?protect ?hooks ?certified ~params
+         (Hamiltonian.num_qubits h) symbolic)
   end
 
 (* --- the pass catalog -------------------------------------------------- *)
@@ -226,17 +189,14 @@ type catalog_entry = {
   pipelines : string list;  (** registry names of the pipelines using it *)
 }
 
-(* Representative options that exercise the longest variant of every
-   pipeline: hardware target (routing present), verification on,
-   non-exact (ordering present). *)
+let catalog_options =
+  {
+    Compiler.default_options with
+    Compiler.target = Compiler.Hardware (Phoenix_topology.Topology.line 4);
+    Compiler.verify = true;
+  }
+
 let catalog () =
-  let repr =
-    {
-      Compiler.default_options with
-      Compiler.target = Compiler.Hardware (Phoenix_topology.Topology.line 4);
-      Compiler.verify = true;
-    }
-  in
   let table : (string * string, string list ref) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
@@ -249,7 +209,7 @@ let catalog () =
           | None ->
             Hashtbl.add table key (ref [ e.name ]);
             order := key :: !order)
-        (e.passes repr))
+        (e.passes catalog_options))
     all;
   List.rev_map
     (fun ((name, description) as key) ->

@@ -30,6 +30,13 @@ val find : string -> entry option
 
 val names : unit -> string list
 
+val chunk :
+  entry -> Phoenix.Compiler.options -> Phoenix_ham.Hamiltonian.t ->
+  Phoenix.Compiler.chunk
+(** The program this entry compiles for a Hamiltonian
+    ({!Phoenix.Compiler.chunk_of_hamiltonian} at [options.tau]): term
+    blocks are kept only when [entry.uses_blocks]. *)
+
 val compile :
   ?options:Phoenix.Compiler.options ->
   ?protect:bool ->
@@ -101,7 +108,7 @@ val compile_template :
     intermediate circuits carry slot angles, which the angle-sanity lint
     correctly reports as errors on {e bound} circuits.  [certified]
     (default [false]) declares that a symbolic certify hook
-    ({!Hooks.certify}) rides along, replacing the dense-verification
+    ({!Phoenix_tv.Certify.hook}) rides along, replacing the dense-verification
     deferral diagnostic — see {!Phoenix.Compiler.compile_template}. *)
 
 (** {1 Pass catalog} *)
@@ -112,8 +119,12 @@ type catalog_entry = {
   pipelines : string list;  (** registry names of the pipelines using it *)
 }
 
+val catalog_options : Phoenix.Compiler.options
+(** Representative options that exercise the longest variant of every
+    pipeline: hardware target (routing present), verification on,
+    non-exact (ordering present). *)
+
 val catalog : unit -> catalog_entry list
 (** Every distinct pass across all registered pipelines (keyed by name
     and description), in first-appearance order, with the pipelines that
-    use it.  Computed under representative options — hardware target,
-    verification on — so option-gated stages are included. *)
+    use it, under {!catalog_options}. *)

@@ -1,20 +1,13 @@
-module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Template = Phoenix.Template
 module Budget = Phoenix_util.Budget
-module Hamiltonian = Phoenix_ham.Hamiltonian
 module Circuit = Phoenix_circuit.Circuit
 module Qasm = Phoenix_circuit.Qasm
 module Peephole = Phoenix_circuit.Peephole
-module Topology = Phoenix_topology.Topology
-module Diag = Phoenix_verify.Diag
 module Structural = Phoenix_verify.Structural
-module Finding = Phoenix_analysis.Finding
 module Circuit_lint = Phoenix_analysis.Circuit_lint
 module Analyses = Phoenix_analysis.Registry
-module Resilience_lint = Phoenix_analysis.Resilience_lint
-module Pipelines = Phoenix_pipeline.Registry
-module Hooks = Phoenix_pipeline.Hooks
+module Job = Phoenix_pipeline.Job
 open Protocol
 
 type outcome = {
@@ -24,52 +17,21 @@ type outcome = {
   trace : Pass.trace;
 }
 
-let ok ?(trace = []) fields = { status = Sok; fields; error = None; trace }
-
 let fail ?(trace = []) status msg =
   { status; fields = []; error = Some msg; trace }
 
 let bad_request msg = fail Sbad_request msg
 
-(* Unlike the CLI front end (which prints and exits 2), the daemon turns
-   every input problem into a structured bad-request response. *)
-let topology_of_spec n = function
-  | "all-to-all" -> Ok None
-  | "heavy-hex" -> Ok (Some (Topology.ibm_manhattan ()))
-  | "line" -> Ok (Some (Topology.line (max n 2)))
-  | "ring" -> Ok (Some (Topology.ring (max n 3)))
-  | "grid" ->
-    let side = int_of_float (ceil (sqrt (float_of_int n))) in
-    Ok (Some (Topology.grid ~rows:side ~cols:side))
-  | s ->
-    Error
-      (Printf.sprintf
-         "unknown topology %S (all-to-all, heavy-hex, line, ring, grid)" s)
+let protocol_status = function
+  | Job.Clean -> Sok
+  | Job.Verify_errors -> Sverify_errors
+  | Job.Lint_errors -> Slint_errors
 
 let budget_of_spec ~default_timeout_s spec =
   match (spec.budget_checks, spec.timeout_s, default_timeout_s) with
   | Some k, _, _ -> Budget.after_checks k
   | None, Some s, _ | None, None, Some s -> Budget.of_timeout_s s
   | None, None, None -> Budget.none
-
-(* Mirrors the block / Trotter dispatch in [Pipelines.compile] so lint's
-   translation validation checks the circuit against exactly the gadget
-   program that was compiled. *)
-let program_of_entry (entry : Pipelines.entry) (options : Compiler.options) h =
-  let tau = options.Compiler.tau in
-  let gadgets =
-    match
-      if entry.Pipelines.uses_blocks then Hamiltonian.term_blocks h else None
-    with
-    | Some blocks ->
-      List.concat_map
-        (List.map (fun (t : Phoenix_pauli.Pauli_term.t) ->
-             ( t.Phoenix_pauli.Pauli_term.pauli,
-               2.0 *. t.Phoenix_pauli.Pauli_term.coeff *. tau )))
-        blocks
-    | None -> Hamiltonian.trotter_gadgets ~tau h
-  in
-  (Hamiltonian.num_qubits h, gadgets)
 
 let metrics_json c =
   Json.Obj
@@ -98,13 +60,8 @@ let execute_qasm spec text =
         Analyses.run (Circuit_lint.target ~isa:Circuit_lint.Cnot_basis circuit)
       else []
     in
-    let status =
-      if spec.verify && Diag.has_errors diagnostics then Sverify_errors
-      else if spec.lint && Finding.has_errors findings then Slint_errors
-      else Sok
-    in
     {
-      status;
+      status = protocol_status (Job.status diagnostics findings);
       fields =
         [
           ("kind", Json.Str "qasm");
@@ -117,157 +74,89 @@ let execute_qasm spec text =
       trace = [];
     }
 
-(* --- hamiltonian jobs --------------------------------------------------- *)
+(* --- hamiltonian jobs: the NDJSON codec over [Job] ------------------------ *)
 
-let lint_isa = function
-  | Compiler.Cnot_isa -> Structural.Cnot_basis
-  | Compiler.Su4_isa -> Structural.Su4_basis
+let job_request ~default_timeout_s spec =
+  {
+    Job.pipeline = spec.pipeline;
+    topology = spec.topology;
+    isa = spec.isa;
+    exact = spec.exact;
+    verify = spec.verify;
+    lint = spec.lint;
+    certify = false;
+    cache = spec.cache;
+    budget = budget_of_spec ~default_timeout_s spec;
+    domains = spec.domains;
+    mode = (if spec.template then Job.Template else Job.Plain);
+    binds = (if spec.binds = [] then None else Some (Job.Vectors spec.binds));
+  }
 
-let execute_template spec options entry h =
-  match Pipelines.compile_template ~options ~protect:true entry h with
+let checks_json (o : Job.outcome) =
+  [
+    ("diagnostics", Json.Arr (List.map diag_json o.Job.diagnostics));
+    ( "findings",
+      Json.Arr
+        (List.map finding_json (o.Job.findings @ List.map snd o.Job.pass_findings))
+    );
+  ]
+
+let execute_hamiltonian ~default_timeout_s spec h =
+  match Job.run (job_request ~default_timeout_s spec) h with
   | Error msg -> bad_request msg
-  | Ok tmpl -> (
-    let report = Template.report tmpl in
-    match Template.bind_batch tmpl spec.binds with
-    | exception Invalid_argument msg -> bad_request msg
-    | bound ->
-      ok ~trace:report.Compiler.trace
+  | Ok o ->
+    let report = o.Job.report in
+    let circuit_json = circuit_json ~dump:spec.dump in
+    let fields =
+      match o.Job.template with
+      | None ->
+        [
+          ("kind", Json.Str "compile");
+          ("pipeline", Json.Str o.Job.entry.Phoenix_pipeline.Registry.name);
+          ("circuit", circuit_json (List.hd o.Job.circuits));
+          ("report", report_json report);
+        ]
+        @ checks_json o
+      | Some t ->
         [
           ("kind", Json.Str "template");
           ( "params",
             Json.Arr
-              (Array.to_list
-                 (Array.map (fun p -> Json.Str p) (Template.params tmpl))) );
-          ( "slots",
-            Json.Num (Float.of_int (Template.slot_count tmpl)) );
+              (Array.to_list (Array.map (fun p -> Json.Str p) (Template.params t)))
+          );
+          ("slots", Json.Num (Float.of_int (Template.slot_count t)));
           ("report", report_json report);
-          ( "binds",
-            Json.Arr (List.map (circuit_json ~dump:spec.dump) bound) );
-        ])
-
-let execute_compile spec options entry h topo =
-  let hook_findings = ref [] and hook_diags = ref [] in
-  let hooks =
-    (if spec.lint then [ Hooks.lint hook_findings ] else [])
-    @ if spec.verify then [ Hooks.translation_validate hook_diags ] else []
-  in
-  let report = Pipelines.compile ~options ~protect:true ~hooks entry h in
-  let circuit = report.Compiler.circuit in
-  let diagnostics =
-    if spec.verify then report.Compiler.diagnostics @ List.rev !hook_diags
-    else []
-  in
-  let tagged_findings = List.rev !hook_findings in
-  let findings =
-    if spec.lint then
-      let declared =
-        {
-          Circuit_lint.two_q = report.Compiler.two_q_count;
-          depth_2q = report.Compiler.depth_2q;
-          one_q = report.Compiler.one_q_count;
-        }
-      in
-      Analyses.run
-        (Circuit_lint.target ~isa:(lint_isa spec.isa) ?topology:topo ~declared
-           ~program:(program_of_entry entry options h)
-           ~exact:spec.exact ?layout:report.Compiler.layout circuit)
-      @ Resilience_lint.conformance report
-      @ List.map snd tagged_findings
-    else []
-  in
-  let status =
-    if spec.verify && Diag.has_errors diagnostics then Sverify_errors
-    else if spec.lint && Finding.has_errors findings then Slint_errors
-    else Sok
-  in
-  {
-    status;
-    fields =
-      [
-        ("kind", Json.Str "compile");
-        ("pipeline", Json.Str entry.Pipelines.name);
-        ("circuit", circuit_json ~dump:spec.dump circuit);
-        ("report", report_json report);
-        ("diagnostics", Json.Arr (List.map diag_json diagnostics));
-        ("findings", Json.Arr (List.map finding_json findings));
-      ];
-    error = None;
-    trace = report.Compiler.trace;
-  }
-
-let execute_hamiltonian ~default_timeout_s spec h =
-  let n = Hamiltonian.num_qubits h in
-  match topology_of_spec n spec.topology with
-  | Error msg -> bad_request msg
-  | Ok topo -> (
-    match Pipelines.find spec.pipeline with
-    | None ->
-      bad_request
-        (Printf.sprintf "unknown pipeline %S (%s)" spec.pipeline
-           (String.concat ", " (Pipelines.names ())))
-    | Some entry ->
-      if entry.Pipelines.requires_topology && topo = None then
-        bad_request
-          (Printf.sprintf "the %s pipeline needs a topology"
-             entry.Pipelines.name)
-      else if
-        entry.Pipelines.two_local_only
-        && List.exists
-             (fun (p, _) -> Phoenix_pauli.Pauli_string.weight p > 2)
-             (Hamiltonian.trotter_gadgets h)
-      then
-        bad_request
-          (Printf.sprintf "the %s pipeline only handles 2-local workloads"
-             entry.Pipelines.name)
-      else begin
-        let options =
-          {
-            Compiler.default_options with
-            isa = spec.isa;
-            exact = spec.exact;
-            verify = spec.verify;
-            cache = spec.cache;
-            domains = spec.domains;
-            budget = budget_of_spec ~default_timeout_s spec;
-            target =
-              (match topo with
-              | None -> Compiler.Logical
-              | Some t -> Compiler.Hardware t);
-          }
-        in
-        if spec.template then execute_template spec options entry h
-        else execute_compile spec options entry h topo
-      end)
+          ("binds", Json.Arr (List.map circuit_json o.Job.circuits));
+        ]
+        (* without checks, the template response keeps its original shape *)
+        @ if spec.verify || spec.lint then checks_json o else []
+    in
+    {
+      status = protocol_status o.Job.status;
+      fields;
+      error = None;
+      trace = report.Phoenix.Compiler.trace;
+    }
 
 let execute ?default_timeout_s spec =
-  let job () =
-    match spec.source with
-    | Qasm text -> execute_qasm spec text
-    | Builtin name -> (
-      match Workload.of_spec name with
-      | Error msg -> bad_request msg
-      | Ok h -> execute_hamiltonian ~default_timeout_s spec h)
-    | Inline text -> (
-      match Workload.of_inline text with
-      | Error msg -> bad_request msg
-      | Ok h -> execute_hamiltonian ~default_timeout_s spec h)
+  let hamiltonian = function
+    | Error msg -> bad_request msg
+    | Ok h -> execute_hamiltonian ~default_timeout_s spec h
   in
   (* Fail closed at the job boundary: a worker must outlive any job,
      including chaos-injected faults raised outside a protected pass. *)
-  match job () with
+  match
+    match spec.source with
+    | Qasm text -> execute_qasm spec text
+    | Builtin name -> hamiltonian (Workload.of_spec name)
+    | Inline text -> hamiltonian (Workload.of_inline text)
+  with
   | outcome -> outcome
-  | exception Pass.Interrupted { pass; reason = Budget.Deadline } ->
-    fail Sdeadline
-      (Printf.sprintf "deadline exceeded in pass %s with no fallback" pass)
-  | exception Pass.Interrupted { pass; reason = Budget.Cancelled } ->
-    fail Sfailed (Printf.sprintf "job cancelled in pass %s" pass)
-  | exception Budget.Interrupted Budget.Deadline ->
-    fail Sdeadline "deadline exceeded with no fallback"
-  | exception Budget.Interrupted Budget.Cancelled -> fail Sfailed "job cancelled"
-  | exception Pass.Failed { pass; error } ->
-    fail Sfailed (Printf.sprintf "pass %s failed closed: %s" pass error)
-  | exception exn ->
-    fail Sfailed ("worker fault: " ^ Printexc.to_string exn)
+  | exception exn -> (
+    match Job.failure exn with
+    | Some (Job.Deadline msg) -> fail Sdeadline msg
+    | Some (Job.Failed msg) -> fail Sfailed msg
+    | None -> fail Sfailed ("worker fault: " ^ Printexc.to_string exn))
 
 let response ~id { status; fields; error; trace = _ } =
   ok_response ~id ~status ?error fields

@@ -171,8 +171,6 @@ let parse_compile_spec obj =
   in
   let template = bool_field obj "template" ~default:false in
   let binds = parse_binds obj in
-  if binds <> [] && not template then
-    reject "\"bind\"/\"binds\" need \"template\": true";
   {
     source;
     pipeline;

@@ -16,15 +16,18 @@ exception Transient of string
 
 let default_retries = 2
 
-let hardware_domains = lazy (max 1 (Domain.recommended_domain_count ()))
+(* A plain value, not [lazy]: helper domains and serve workers would
+   otherwise race to force it, and the loser raises
+   [CamlinternalLazy.Undefined]. *)
+let hardware_domains = max 1 (Domain.recommended_domain_count ())
 
 let num_domains () =
   match Sys.getenv_opt "PHOENIX_DOMAINS" with
   | Some s ->
     (match int_of_string_opt (String.trim s) with
     | Some d when d >= 1 -> min d 128
-    | Some _ | None -> Lazy.force hardware_domains)
-  | None -> Lazy.force hardware_domains
+    | Some _ | None -> hardware_domains)
+  | None -> hardware_domains
 
 type 'b slot = Empty | Ok_slot of 'b | Exn_slot of exn * Printexc.raw_backtrace
 

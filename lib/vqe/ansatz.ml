@@ -1,5 +1,4 @@
 module Hamiltonian = Phoenix_ham.Hamiltonian
-module Pauli_term = Phoenix_pauli.Pauli_term
 module Compiler = Phoenix.Compiler
 module Statevector = Phoenix_linalg.Statevector
 
@@ -10,15 +9,11 @@ type t = {
 }
 
 let of_hamiltonian h =
-  let to_gadget (t : Pauli_term.t) =
-    t.Pauli_term.pauli, 2.0 *. t.Pauli_term.coeff
-  in
-  let blocks =
-    match Hamiltonian.term_blocks h with
-    | Some blocks -> List.map (List.map to_gadget) blocks
-    | None -> List.map (fun t -> [ to_gadget t ]) (Hamiltonian.terms h)
-  in
-  { n = Hamiltonian.num_qubits h; blocks }
+  {
+    n = Hamiltonian.num_qubits h;
+    blocks =
+      Compiler.parameter_blocks (Compiler.chunk_of_hamiltonian ~tau:1.0 h);
+  }
 
 let num_qubits t = t.n
 let num_parameters t = List.length t.blocks

@@ -23,6 +23,18 @@ W=uccsd:LiH_frz_JW
 
 # clean runs
 expect 0 compile "$W"
+# process-wide settings read on first use must not race across domains (a
+# lost race fails the compile closed, exit 1): every fresh process exits 0
+raced=0
+for _ in $(seq 1 40); do
+  "$BIN" compile "$W" >/dev/null 2>&1 || raced=$((raced + 1))
+done
+if [ "$raced" -eq 0 ]; then
+  echo "ok: 40 fresh compile processes exit 0"
+else
+  echo "FAIL: $raced of 40 fresh compile processes exited non-zero" >&2
+  fail=1
+fi
 expect 0 compile "$W" --verify --lint
 expect 0 analyze "$W"
 expect 0 analyze --list
@@ -59,6 +71,14 @@ expect 0 cache stats
 expect 0 cache stats --json
 expect 0 cache audit
 expect 0 cache warm "$W"
+# the JSON escapes quotes and passes UTF-8 through in the cache directory
+if PHOENIX_CACHE_DIR="$CACHE_TMP/caf\"é" "$BIN" cache stats --json 2>/dev/null \
+  | grep -qF '"dir": "'"$CACHE_TMP"'/caf\"é",'; then
+  echo "ok: cache stats --json escapes the directory name"
+else
+  echo "FAIL: cache stats --json mis-escapes the directory name" >&2
+  fail=1
+fi
 "$BIN" compile "$W" --cache off --dump > cache_cold.txt 2>/dev/null
 "$BIN" compile "$W" --cache disk --dump > cache_warm.txt 2>/dev/null
 if cmp -s cache_cold.txt cache_warm.txt; then
@@ -199,6 +219,17 @@ expect 0 chaos --runs 2 --pipelines phoenix --workload heisenberg:4
 expect 2 chaos --runs 1 --plan bogus
 expect 2 chaos --runs 0
 expect 2 chaos --runs 1 --pipelines no-such-pipeline
+# chaos --json keeps a UTF-8 workload path as JSON text
+CHAOS_TMP="$(mktemp -d)"
+printf '0.5 XXI\n0.3 IZZ\n' > "$CHAOS_TMP/hé.ham"
+if "$BIN" chaos --runs 1 --pipelines phoenix --workload "$CHAOS_TMP/hé.ham" \
+  --json - 2>/dev/null | grep -qF '"workload": "'"$CHAOS_TMP"'/hé.ham",'; then
+  echo "ok: chaos --json keeps a UTF-8 workload path"
+else
+  echo "FAIL: chaos --json mis-escapes a UTF-8 workload path" >&2
+  fail=1
+fi
+rm -rf "$CHAOS_TMP"
 
 # serve: the daemon flag contract — exactly one of --socket/--port,
 # bounds on ports and pool/queue/limit sizes, unreachable addresses —

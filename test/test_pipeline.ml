@@ -11,6 +11,7 @@ module Compiler = Phoenix.Compiler
 module Pass = Phoenix.Pass
 module Registry = Phoenix_pipeline.Registry
 module Hooks = Phoenix_pipeline.Hooks
+module Job = Phoenix_pipeline.Job
 module Finding = Phoenix_analysis.Finding
 module Diag = Phoenix_verify.Diag
 module Topology = Phoenix_topology.Topology
@@ -240,6 +241,61 @@ let test_hooks_clean_on_real_pipelines () =
       Alcotest.(check bool) (name ^ " hook fired") true (!diags <> []))
     [ "phoenix"; "tket"; "paulihedral"; "tetris"; "naive" ]
 
+(* --- the shared job path ----------------------------------------------- *)
+
+let two_local = Phoenix_ham.Hamiltonian.of_lines [ "0.5 XXII"; "0.3 IZZI"; "0.2 IIYY" ]
+
+(* Every admission rule rejects with status 2 before compiling: a
+   compile would reach [tamper] (or [emit] when streaming). *)
+let test_job_admission () =
+  let never _ = Alcotest.fail "a rejected request compiled" in
+  let weight3 = Phoenix_ham.Hamiltonian.of_lines [ "0.5 XYZI"; "0.3 IIZZ" ] in
+  List.iter
+    (fun (name, request, h) ->
+      match Job.run ~tamper:never ~emit:never request h with
+      | Ok _ -> Alcotest.failf "%s: admitted" name
+      | Error msg ->
+        Alcotest.(check bool) (name ^ " explains itself") true (msg <> ""))
+    [
+      ("unknown pipeline", { Job.default with pipeline = "nope" }, two_local);
+      ("unknown topology", { Job.default with topology = "moebius" }, two_local);
+      ("2qan without topology", { Job.default with pipeline = "2qan" }, two_local);
+      ( "2qan on a 3-local workload",
+        { Job.default with pipeline = "2qan"; topology = "line" },
+        weight3 );
+      ( "stream with a topology",
+        { Job.default with mode = Job.Stream 2; topology = "line" },
+        two_local );
+      ("stream of 0 steps", { Job.default with mode = Job.Stream 0 }, two_local);
+      ( "template on tket",
+        { Job.default with pipeline = "tket"; mode = Job.Template },
+        two_local );
+      ( "bind without template",
+        { Job.default with binds = Some (Job.Vectors [ [| 0.5 |] ]) },
+        two_local );
+    ]
+
+(* An out-of-ISA gate is both a structural (verify) and an ISA-conformance
+   (lint) error: verification wins, 3 before 4. *)
+let test_job_status_precedence () =
+  let out_of_isa c =
+    Circuit.append c
+      (Gate.Rpp { p0 = Phoenix_pauli.Pauli.X; p1 = Phoenix_pauli.Pauli.Z; a = 0; b = 1; theta = 0.7 })
+  in
+  let status request =
+    match Job.run ~tamper:out_of_isa request two_local with
+    | Ok o -> Job.exit_code o.Job.status
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check int) "clean" 0
+    (match Job.run { Job.default with verify = true; lint = true } two_local with
+    | Ok o -> Job.exit_code o.Job.status
+    | Error msg -> Alcotest.fail msg);
+  Alcotest.(check int) "lint alone" 4 (status { Job.default with lint = true });
+  Alcotest.(check int) "verify alone" 3 (status { Job.default with verify = true });
+  Alcotest.(check int) "verify before lint" 3
+    (status { Job.default with verify = true; lint = true })
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -266,5 +322,12 @@ let () =
         [
           Alcotest.test_case "clean on real pipelines" `Quick
             test_hooks_clean_on_real_pipelines;
+        ] );
+      ( "job",
+        [
+          Alcotest.test_case "admission rejects with status 2" `Quick
+            test_job_admission;
+          Alcotest.test_case "verify errors before lint errors" `Quick
+            test_job_status_precedence;
         ] );
     ]

@@ -173,6 +173,45 @@ let mixed_specs =
     ("lint", [ w "workload" "tfim:4"; b "lint" true; nodump ]);
   ]
 
+(* A template job's verify/lint flags check every bound circuit, as the
+   CLI's --bind --verify --lint does; without them the response keeps
+   the plain template shape. *)
+let test_template_checks () =
+  let template binds extra =
+    reference_response
+      ([
+         w "workload" "qaoa:Reg3-16";
+         b "template" true;
+         ("binds", Json.Arr binds);
+         b "dump" false;
+       ]
+      @ extra)
+  in
+  let vector v = Json.Arr (List.init 24 (fun _ -> Json.Num v)) in
+  let structural resp =
+    List.length
+      (List.filter
+         (fun d -> Json.str (field "pass" d) = Some "structural")
+         (Option.value (Json.arr (field "diagnostics" resp)) ~default:[]))
+  in
+  let clean =
+    template [ vector 0.5; vector 1.0 ] [ b "verify" true; b "lint" true ]
+  in
+  Alcotest.(check int) "clean binds pass" 0 (status_of clean);
+  Alcotest.(check int) "each bound circuit re-validated" 2 (structural clean);
+  Alcotest.(check bool) "findings reported" true
+    (Json.arr (field "findings" clean) <> None);
+  let unbounded =
+    template [ vector 0.5; vector Float.infinity ] [ b "lint" true ]
+  in
+  Alcotest.(check int) "a non-finite bound angle is a lint error" 4
+    (status_of unbounded);
+  let unchecked = template [ vector 0.5 ] [] in
+  Alcotest.(check int) "unchecked template" 0 (status_of unchecked);
+  Alcotest.(check bool) "no check fields without verify/lint" true
+    (field "diagnostics" unchecked = Json.Null
+    && field "findings" unchecked = Json.Null)
+
 (* --- soak --------------------------------------------------------------- *)
 
 let test_soak () =
@@ -720,6 +759,7 @@ let () =
         [
           Alcotest.test_case "defaults" `Quick test_request_defaults;
           Alcotest.test_case "id recovery" `Quick test_request_id_recovery;
+          Alcotest.test_case "template verify/lint" `Quick test_template_checks;
         ] );
       ( "jobqueue",
         [
