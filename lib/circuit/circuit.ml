@@ -33,7 +33,11 @@ let concat a b =
   { n = a.n; gates = a.gates @ b.gates }
 
 let concat_list n cs =
-  List.fold_left concat (empty n) cs
+  let gates_of c =
+    if c.n <> n then invalid_arg "Circuit.concat: qubit-count mismatch";
+    c.gates
+  in
+  { (empty n) with gates = List.concat_map gates_of cs }
 
 let dagger t = { t with gates = List.rev_map Gate.dagger t.gates }
 

@@ -29,6 +29,10 @@ val concat : t -> t -> t
 (** Raises [Invalid_argument] on differing qubit counts. *)
 
 val concat_list : int -> t list -> t
+(** [concat_list n cs] is the left fold of {!concat} from [empty n], in one
+    pass over the gates.  Raises [Invalid_argument] if some circuit's
+    qubit count is not [n]. *)
+
 val dagger : t -> t
 
 val map_angles : (float -> float) -> t -> t

@@ -21,6 +21,9 @@ val head_part : Circuit.t -> Gate.t list
 val tail_part : Circuit.t -> Gate.t list
 (** Mirror of [head_part] from the right. *)
 
+val min_similarity : float
+(** The lower clamp of {!similarity}. *)
+
 val similarity : pre:Circuit.t -> suc:Circuit.t -> float
 (** Eq. 7: [s = Σ_i ⟨D_i, D'_i⟩ / (‖D_i‖·‖D'_i‖)] where [D] ([D']) is the
     distance matrix of the tail (head) interaction graph of [pre] ([suc]).

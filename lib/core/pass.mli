@@ -23,7 +23,7 @@ type options = {
   isa : isa;
   target : target;
   tau : float;  (** Trotter step duration *)
-  lookahead : int;  (** ordering look-ahead window *)
+  lookahead : int;  (** ordering look-ahead window, at least 1 *)
   exact : bool;
       (** strict unitary preservation: restrict local peeling to
           commuting rows and keep IR groups in program order *)

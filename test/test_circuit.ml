@@ -150,6 +150,30 @@ let prop_layers_partition =
       = Circuit.count_2q c
       && List.length layers = Circuit.depth_2q c)
 
+(* [concat_list] is one pass over the gates, yet equals the left fold of
+   [concat] it replaced, mismatch error included. *)
+let prop_concat_list_is_fold =
+  let open QCheck2.Gen in
+  let pair_gen n = map (fun (a, d) -> (a, (a + 1 + d) mod n)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 2))) in
+  let gate_gen n =
+    oneof [ map h (int_range 0 (n - 1)); map (fun (a, b) -> cnot a b) (pair_gen n) ]
+  in
+  let circuit_gen n = map (Circuit.create n) (list_size (int_range 0 6) (gate_gen n)) in
+  Helpers.qtest "concat_list = fold of concat"
+    (pair (int_range 2 5) (int_range 0 8) >>= fun (n, k) ->
+     map (fun cs -> (n, cs)) (list_size (return k) (circuit_gen n)))
+    (fun (n, cs) -> Circuit.equal (Circuit.concat_list n cs) (List.fold_left Circuit.concat (Circuit.empty n) cs))
+
+let test_concat_list_mismatch () =
+  Alcotest.check_raises "mismatch"
+    (Invalid_argument "Circuit.concat: qubit-count mismatch") (fun () ->
+      ignore
+        (Circuit.concat_list 2
+           [ Circuit.create 2 [ cnot 0 1 ]; Circuit.empty 3; Circuit.empty 2 ]));
+  Alcotest.check_raises "empty register"
+    (Invalid_argument "Circuit.create: need at least one qubit") (fun () ->
+      ignore (Circuit.concat_list 0 []))
+
 let () =
   Alcotest.run "circuit"
     [
@@ -164,6 +188,7 @@ let () =
           Alcotest.test_case "dagger involution" `Quick test_dagger_involution;
           Alcotest.test_case "map qubits" `Quick test_map_qubits;
           Alcotest.test_case "concat mismatch" `Quick test_concat_mismatch;
+          Alcotest.test_case "concat_list mismatch" `Quick test_concat_list_mismatch;
           Alcotest.test_case "interaction counts" `Quick test_interaction_counts;
           Alcotest.test_case "used qubits" `Quick test_used_qubits;
         ] );
@@ -178,5 +203,5 @@ let () =
             test_interaction_similarity_prefers_same_pairs;
           Alcotest.test_case "distance matrix" `Quick test_distance_matrix;
         ] );
-      ("props", [ prop_depth_le_length; prop_layers_partition ]);
+      ("props", [ prop_depth_le_length; prop_layers_partition; prop_concat_list_is_fold ]);
     ]

@@ -218,6 +218,19 @@ let test_assembly_cost_rewards_cancellation () =
   let cost_plain = Order.assembly_cost b_plain b_plain in
   Alcotest.(check bool) "cancellation cheaper" true (cost_cancel < cost_plain)
 
+let test_order_rejects_empty_window () =
+  let blocks = [ block_of [ ps "XXII", 0.1 ] 4; block_of [ ps "IIZZ", 0.2 ] 4 ] in
+  let expected = Invalid_argument "Order.order: lookahead must be at least 1" in
+  Alcotest.check_raises "lookahead 0" expected (fun () ->
+      ignore (Order.order ~lookahead:0 blocks));
+  Alcotest.check_raises "negative lookahead" expected (fun () ->
+      ignore (Order.order ~lookahead:(-3) blocks));
+  Alcotest.check_raises "through the compiler" expected (fun () ->
+      ignore
+        (Compiler.compile
+           ~options:{ Compiler.default_options with lookahead = 0 }
+           (Phoenix_ham.Spin_models.heisenberg_chain 4)))
+
 (* --- compiler pipeline --- *)
 
 let heisenberg4 = Phoenix_ham.Spin_models.heisenberg_chain 4
@@ -363,6 +376,8 @@ let () =
         [
           Alcotest.test_case "keeps all blocks" `Quick test_order_keeps_all_blocks;
           Alcotest.test_case "exposed cliffords" `Quick test_exposed_cliffords;
+          Alcotest.test_case "lookahead below 1 rejected" `Quick
+            test_order_rejects_empty_window;
           Alcotest.test_case "rewards cancellation" `Quick
             test_assembly_cost_rewards_cancellation;
         ] );

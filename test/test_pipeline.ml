@@ -98,6 +98,28 @@ let test_phoenix_golden_qaoa () =
     ~depth_2q:35 ~one_q:24 ~swaps:23 ~logical_two_q:48
     (go (opts ~target:(Compiler.Hardware hh) ()))
 
+(* Pools much larger than the ordering window: 150 QAOA edge blocks, and
+   the routing-aware path on a Fermi-Hubbard lattice. *)
+let test_phoenix_golden_large_pool () =
+  let phoenix = entry "phoenix" in
+  let reg3_100 =
+    Phoenix_ham.Qaoa.maxcut_cost
+      (List.assoc "Reg3-100" (Phoenix_ham.Qaoa.scaling_suite ()))
+  in
+  let go options h = Registry.compile ~options phoenix h in
+  check_report "Reg3-100 default" ~md5:"026d81dcd7c2cee34882978d206f4145"
+    ~two_q:300 ~depth_2q:30 ~one_q:150 ~swaps:0 ~logical_two_q:300
+    (go (opts ()) reg3_100);
+  check_report "Reg3-100 exact" ~md5:"169488201082e5b39cbe32199be27be3"
+    ~two_q:300 ~depth_2q:22 ~one_q:150 ~swaps:0 ~logical_two_q:300
+    (go (opts ~exact:true ()) reg3_100);
+  check_report "fermi-hubbard 3x3 heavyhex"
+    ~md5:"76fcffb85ed03c52eb5dec62960e29f0" ~two_q:908 ~depth_2q:585
+    ~one_q:574 ~swaps:218 ~logical_two_q:258
+    (go
+       (opts ~target:(Compiler.Hardware (Topology.ibm_manhattan ())) ())
+       (Phoenix_ham.Fermi_hubbard.lattice ~rows:3 ~cols:3 ()))
+
 (* The baselines, now expressed as registry pipelines, still produce the
    exact circuits their standalone [compile] entry points did. *)
 let test_baseline_golden () =
@@ -303,6 +325,8 @@ let () =
         [
           Alcotest.test_case "phoenix uccsd" `Slow test_phoenix_golden_uccsd;
           Alcotest.test_case "phoenix qaoa" `Quick test_phoenix_golden_qaoa;
+          Alcotest.test_case "phoenix large pools" `Quick
+            test_phoenix_golden_large_pool;
           Alcotest.test_case "baselines" `Slow test_baseline_golden;
         ] );
       ( "trace",
