@@ -141,13 +141,7 @@ let route_pass =
       let layout = ref initial_layout in
       let emitted = ref (List.rev ones) (* 1Q gates are free: place them first *)
       and swaps = ref 0 in
-      let emitted_phys g =
-        let f q = Layout.physical_of !layout q in
-        match g with
-        | Gate.Rpp r -> Gate.Rpp { r with a = f r.a; b = f r.b }
-        | Gate.G1 (k, q) -> Gate.G1 (k, f q)
-        | _ -> assert false
-      in
+      let emitted_phys g = Gate.map_qubits (Layout.physical_of !layout) g in
       (* 1Q rotations are emitted at their logical qubit's initial site. *)
       emitted := List.map emitted_phys !emitted |> List.rev;
       let pending = ref twos in

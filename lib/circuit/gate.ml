@@ -74,6 +74,15 @@ let rec map_angles f = function
   | Rpp r -> Rpp { r with theta = f r.theta }
   | Su4 { a; b; parts } -> Su4 { a; b; parts = List.map (map_angles f) parts }
 
+let rec map_qubits f = function
+  | G1 (k, q) -> G1 (k, f q)
+  | Cnot (a, b) -> Cnot (f a, f b)
+  | Cliff2 c -> Cliff2 { c with Clifford2q.a = f c.a; b = f c.b }
+  | Rpp r -> Rpp { r with a = f r.a; b = f r.b }
+  | Swap (a, b) -> Swap (f a, f b)
+  | Su4 { a; b; parts } ->
+    Su4 { a = f a; b = f b; parts = List.map (map_qubits f) parts }
+
 let rec fold_angles f acc = function
   | G1 ((Rx t | Ry t | Rz t), _) -> f acc t
   | G1 ((H | S | Sdg | X | Y | Z | T | Tdg), _) | Cnot _ | Cliff2 _ | Swap _

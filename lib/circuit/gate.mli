@@ -60,6 +60,10 @@ val map_angles : (float -> float) -> t -> t
     recursing into [Su4] parts.  Gate structure is untouched; this is the
     primitive behind template binding and cache slot remapping. *)
 
+val map_qubits : (int -> int) -> t -> t
+(** Relabel every qubit operand, recursing into [Su4] parts.  Gate kinds
+    and angles are untouched; no range check is made here. *)
+
 val fold_angles : ('a -> float -> 'a) -> 'a -> t -> 'a
 (** Fold over every rotation angle in gate order ([Su4] parts in time
     order). *)

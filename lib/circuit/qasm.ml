@@ -104,15 +104,14 @@ let of_string text =
       else if String.length line >= 7 && String.sub line 0 7 = "include" then ()
       else if String.length line >= 7 && String.sub line 0 7 = "barrier" then ()
       else if String.length line >= 4 && String.sub line 0 4 = "qreg" then begin
-        match String.index_opt line '[' with
-        | Some i ->
-          let j =
-            match String.index_from_opt line i ']' with
-            | Some j -> j
-            | None -> fail line_no "bad qreg"
-          in
-          n_qubits := int_of_string (String.sub line (i + 1) (j - i - 1))
-        | None -> fail line_no "bad qreg"
+        (* "qreg q[n]": the register reads like an operand *)
+        let size =
+          try parse_operand line_no (String.sub line 4 (String.length line - 4))
+          with Invalid_argument _ -> fail line_no ("bad qreg " ^ line)
+        in
+        if size < 1 then
+          fail line_no (Printf.sprintf "qreg size %d: need at least one qubit" size);
+        n_qubits := size
       end
       else if String.length line >= 4 && String.sub line 0 4 = "creg" then ()
       else begin

@@ -30,7 +30,13 @@ val route :
     front CNOT at distance 2 whose qubits no upcoming gate touches is
     realized by the 4-CNOT bridge template (Itoko et al.) instead of
     SWAPs, leaving the layout unchanged.  Raises [Invalid_argument] when
-    the device is too small or disconnected. *)
+    the device is too small or disconnected, or when [initial] is not a
+    layout over the device's qubits placing every circuit qubit.
+
+    The router runs on flat per-call state (CSR dependency rows, a
+    row-stride distance table, in-place candidate scoring) and is
+    bit-identical to {!route_reference}: same gates in the same order,
+    same layouts, same SWAP count, same tie-break draws. *)
 
 val route_with_refinement :
   ?initial:Layout.t ->
@@ -45,7 +51,36 @@ val route_with_refinement :
     [initial] (default: interaction-aware placement), alternate
     forward/backward routing passes ([iterations] round trips, default
     1), then route forward with the better of the refined and the seed
-    layout. *)
+    layout.  The first forward pass starts from the seed layout, so it is
+    also the seed layout's final routing: it runs once, and a default
+    call routes three times, not four.  [iterations <= 0] routes the seed
+    layout only.  Bit-identical to {!route_with_refinement_reference}. *)
+
+val route_reference :
+  ?initial:Layout.t ->
+  ?lookahead:int ->
+  ?decay:float ->
+  ?seed:int ->
+  ?use_bridge:bool ->
+  Phoenix_topology.Topology.t ->
+  Phoenix_circuit.Circuit.t ->
+  result
+(** Test oracle: the list-based router {!route} replaced (per-step
+    sorted head lists, a fresh layout per scored candidate).  Not for
+    production use; the differential tests compare {!route} against it. *)
+
+val route_with_refinement_reference :
+  ?initial:Layout.t ->
+  ?iterations:int ->
+  ?lookahead:int ->
+  ?seed:int ->
+  ?use_bridge:bool ->
+  Phoenix_topology.Topology.t ->
+  Phoenix_circuit.Circuit.t ->
+  result
+(** Test oracle: refinement over {!route_reference} that routes the seed
+    layout twice (once as the first forward pass, once as the fallback
+    candidate), as before the seed-layout pass was shared. *)
 
 val route_commuting :
   ?initial:Layout.t ->

@@ -5,6 +5,7 @@ type t = {
   edges : (int * int) list;
   adj : int list array;
   dist : int array array Lazy.t;
+  table : int array Lazy.t; (* [dist] flattened row-stride: [a * n + b] *)
 }
 
 let bfs_distances n adj =
@@ -43,7 +44,13 @@ let make n raw_edges =
       adj.(b) <- a :: adj.(b))
     edges;
   Array.iteri (fun i l -> adj.(i) <- List.sort compare l) adj;
-  { n; edges; adj; dist = lazy (bfs_distances n adj) }
+  let dist = lazy (bfs_distances n adj) in
+  let table =
+    lazy
+      (let d = Lazy.force dist in
+       Array.init (n * n) (fun k -> d.(k / n).(k mod n)))
+  in
+  { n; edges; adj; dist; table }
 
 let num_qubits t = t.n
 let edges t = t.edges
@@ -51,6 +58,7 @@ let neighbors t q = t.adj.(q)
 let are_adjacent t a b = List.mem b t.adj.(a)
 let distance_matrix t = Lazy.force t.dist
 let distance t a b = (distance_matrix t).(a).(b)
+let distance_table t = Lazy.force t.table
 
 let is_connected t =
   let uf = Union_find.create t.n in

@@ -23,6 +23,12 @@ val distance : t -> int -> int -> int
 val distance_matrix : t -> int array array
 (** Shared cached matrix — do not mutate. *)
 
+val distance_table : t -> int array
+(** The same distances in one row-stride array: entry [a * n + b] is
+    [distance t a b] for an [n]-qubit topology.  Built once per topology
+    and shared — do not mutate.  Hot loops index it directly instead of
+    calling {!distance} per pair. *)
+
 val is_connected : t -> bool
 
 val all_to_all : int -> t

@@ -133,6 +133,19 @@ let test_parse_comments_and_barrier () =
 let test_parse_errors () =
   Alcotest.check_raises "no qreg" (Invalid_argument "Qasm.of_string: no qreg declaration")
     (fun () -> ignore (Qasm.of_string "OPENQASM 2.0;\nh q[0];\n"));
+  (* a malformed or empty register is a line-numbered [Invalid_argument],
+     never a [Failure] from the integer parser or a late [Circuit] error *)
+  List.iter
+    (fun (decl, msg) ->
+      Alcotest.check_raises decl
+        (Invalid_argument ("Qasm.of_string: line 2: " ^ msg))
+        (fun () -> ignore (Qasm.of_string ("OPENQASM 2.0;\n" ^ decl ^ "\nh q[0];\n"))))
+    [
+      "qreg q[x];", "bad qreg qreg q[x]";
+      "qreg q[];", "bad qreg qreg q[]";
+      "qreg q[0];", "qreg size 0: need at least one qubit";
+      "qreg q[-3];", "qreg size -3: need at least one qubit";
+    ];
   (try
      ignore (Qasm.of_string "qreg q[2];\nccx q[0],q[1],q[0];\n");
      Alcotest.fail "should reject"

@@ -342,6 +342,9 @@ let test_malformed_lines () =
       expect "bad inline hamiltonian" 2;
       Client.send_line c "{\"id\":\"x\",\"qasm\":\"h q[0];\"}";
       expect "bad qasm" 2;
+      (* a register-size typo is the client's error, not a daemon failure *)
+      Client.send_line c "{\"id\":\"x\",\"qasm\":\"qreg q[x];\\nh q[0];\"}";
+      expect "bad qreg size" 2;
       (* the connection survived all of it *)
       Client.send c (Json.Obj [ ("op", Json.Str "ping"); ("id", Json.Str "p") ]);
       expect "still serving" 0;
