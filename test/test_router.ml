@@ -382,7 +382,7 @@ let () =
           prop_route_respects_topology_heavy_hex;
           prop_bridge_routing_equivalent;
         ] );
-      ( "differential",
+      ( "oracle",
         [
           prop_route_matches_reference;
           prop_refinement_matches_reference;
